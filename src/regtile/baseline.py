@@ -34,7 +34,7 @@ class BaselineReport:
 
 def naive_cost(g: DataFlowGraph) -> int:
     """Loads per iteration when every inter-iteration value is reloaded."""
-    return sum(n.state for n in g.nodes)
+    return g.total_state
 
 
 def register_pipelining(g: DataFlowGraph, budget: int) -> BaselineReport:

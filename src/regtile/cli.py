@@ -78,10 +78,20 @@ def _emit(args, payload: dict) -> None:
 
 def _search_config(args) -> solver.SearchConfig:
     budget = args.time_budget_ms
+    source = "--time-budget-ms"
     if budget is None:
         env = os.environ.get(TIME_BUDGET_ENV)
         if env:
-            budget = float(env)
+            source = TIME_BUDGET_ENV
+            try:
+                budget = float(env)
+            except ValueError as exc:
+                raise dfg.InstanceError(f"{source} must be a number: {env!r}") from exc
+    # ``not >= 0`` also rejects NaN, which would never expire.
+    if budget is not None and not budget >= 0:
+        raise dfg.InstanceError(f"{source} must be >= 0: {budget}")
+    if args.node_budget < 0:
+        raise dfg.InstanceError(f"--node-budget must be >= 0: {args.node_budget}")
     return solver.SearchConfig(
         seed=args.seed,
         time_budget_ms=budget,
@@ -138,9 +148,11 @@ def _cmd_stats(args, started) -> int:
             raise dfg.InstanceError(
                 "--generate expects SEED,COUNT (two integers)"
             ) from exc
+        if count < 0:
+            raise dfg.InstanceError(f"--generate COUNT must be >= 0: {count}")
         cfg = stats.CorpusConfig(
-            nodes=_parse_range(args.nodes, (3, 5)),
-            edges=_parse_range(args.edges, (1, 6)),
+            nodes=_parse_range(args.nodes, (3, 5), 1),
+            edges=_parse_range(args.edges, (1, 6), 0),
         )
         instances = stats.generate_corpus(seed, count, cfg)
     elif args.instance:
@@ -161,7 +173,9 @@ def _cmd_stats(args, started) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: str | None, default: tuple[int, int]) -> tuple[int, int]:
+def _parse_range(
+    spec: str | None, default: tuple[int, int], minimum: int
+) -> tuple[int, int]:
     if spec is None:
         return default
     try:
@@ -170,6 +184,8 @@ def _parse_range(spec: str | None, default: tuple[int, int]) -> tuple[int, int]:
         raise dfg.InstanceError(f"range must be LO,HI: {spec!r}") from exc
     if lo > hi:
         raise dfg.InstanceError(f"empty range: {spec!r}")
+    if lo < minimum:
+        raise dfg.InstanceError(f"range {spec!r} must start at >= {minimum}")
     return lo, hi
 
 
@@ -225,13 +241,16 @@ def _cmd_sweep(args, started) -> int:
         base_mw = args.max_width if args.max_width is not None else json.loads(text).get("max_width")
     except (json.JSONDecodeError, AttributeError) as exc:
         raise dfg.InstanceError(f"invalid instance document: {exc}") from exc
+    if base_mw is not None and (isinstance(base_mw, bool) or not isinstance(base_mw, int)):
+        raise dfg.InstanceError("'max_width' must be int", "max_width")
+    cfg = _search_config(args)
     points = []
     worst = EXIT_OK
     for u in range(lo, hi + 1):
         # The width cap may not exceed the unroll factor, so clamp per point.
         mw = min(base_mw, u) if base_mw is not None else None
         instance = dfg.ingest(text, registers=args.registers, unroll=u, max_width=mw)
-        outcome = solver.solve(instance, _search_config(args))
+        outcome = solver.solve(instance, cfg)
         entry = {"unroll": u, "status": outcome.status.value}
         if outcome.cost:
             entry["uspill"] = outcome.cost.uspill

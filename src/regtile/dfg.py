@@ -194,10 +194,6 @@ class DataFlowGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def group_by_id(self) -> dict[str, EdgeGroup]:
-        return {g.id: g for g in self.groups}
-
-    @cached_property
     def total_state(self) -> int:
         return sum(n.state for n in self.nodes)
 

@@ -16,7 +16,7 @@ from itertools import product
 
 from . import tiling
 from .dfg import ProblemInstance
-from .tiling import CostReport, TilingSolution
+from .tiling import CostReport, TilingSolution, _isolated_clusters, _state_charge, _tile_of_rank
 
 __all__ = [
     "OracleResult",
@@ -132,21 +132,14 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
     u = instance.unroll
     mw = instance.max_width
     edges = graph.edges
-    arc_list = [(e.src, e.dst) for e in edges]
     state_nodes = [nd for nd in graph.nodes if nd.state > 0]
 
-    # Isolated nodes with equal comp and state are interchangeable; pinning
-    # each such cluster to ascending-id order drops only relabelings, and
-    # the relabeling with ascending ids always has the lexicographically
-    # smallest serialization, so the reported optimum and tie-break are
-    # unchanged.
-    touched = {e.src for e in edges} | {e.dst for e in edges}
-    clusters: dict[tuple[int, int], list[str]] = {}
-    for nd in graph.nodes:
-        if nd.id not in touched:
-            clusters.setdefault((nd.comp, nd.state), []).append(nd.id)
-    order_arcs = list(arc_list)
-    for members in clusters.values():
+    # Pinning each cluster of interchangeable isolated nodes to
+    # ascending-id order drops only relabelings, and the relabeling with
+    # ascending ids always has the lexicographically smallest serialization,
+    # so the reported optimum and tie-break are unchanged.
+    order_arcs = [(e.src, e.dst) for e in edges]
+    for members in _isolated_clusters(graph):
         members.sort()
         order_arcs.extend(zip(members, members[1:]))
 
@@ -155,10 +148,9 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
     # geometry without affecting the optimum or the tie-break.
     seed = tiling.all_spill_solution(instance)
     assert tiling.feasible(seed, instance).ok
-    seed_rep = tiling.cost(seed, instance)
-    best_uspill: int | None = seed_rep.uspill
-    best_key: str | None = tiling.canonical_key(seed)
-    best: tuple[TilingSolution, CostReport] | None = (seed, seed_rep)
+    best_rep = tiling.cost(seed, instance)
+    best_key = tiling.canonical_key(seed)
+    best = seed
     candidates = 1
 
     for order in _topological_orders(graph.node_ids, order_arcs):
@@ -167,14 +159,13 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
         for e in edges:
             rs, rd = rank[e.src], rank[e.dst]
             cross_mask.append((1 << rd) - (1 << rs))
-        comp_order = tuple(order)
 
         for border_bits in range(1 << (n - 1)):
             forced = [
                 e.id for e, m in zip(edges, cross_mask) if m & border_bits
             ]
             forced_cost = sum(graph.edge_by_id[eid].reg for eid in forced) * u
-            if best_uspill is not None and forced_cost > best_uspill:
+            if forced_cost > best_rep.uspill:
                 continue
 
             points = [p for p in range(n - 1) if border_bits >> p & 1] + [n - 1]
@@ -183,26 +174,21 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
                 e for e, m in zip(edges, cross_mask)
                 if not m & border_bits and e.reg > 0
             ]
-            tile_of_rank = []
-            t = 0
-            for r in range(n):
-                while points[t] < r:
-                    t += 1
-                tile_of_rank.append(t)
+            tile_of_rank = _tile_of_rank(points, n)
 
             for widths in product(range(mw, 0, -1), repeat=tiles):
                 items = [(e.id, False, e.reg * u) for e in free_edges] + [
                     (
                         nd.id,
                         True,
-                        -(-u // widths[tile_of_rank[rank[nd.id]]]) * nd.state,
+                        _state_charge(u, widths[tile_of_rank[rank[nd.id]]], nd.state),
                     )
                     for nd in state_nodes
                 ]
                 item_costs = [c for _, _, c in items]
                 for extra, chosen in _subsets_by_cost(item_costs):
                     total = forced_cost + extra
-                    if best_uspill is not None and total > best_uspill:
+                    if total > best_rep.uspill:
                         break
                     candidates += 1
                     espill = set(forced)
@@ -211,30 +197,24 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
                         vid, is_state, _c = items[i]
                         (sspill if is_state else espill).add(vid)
                     sol = TilingSolution(
-                        comp_order,
+                        order,
                         tuple(points),
                         widths,
                         frozenset(espill),
                         frozenset(sspill),
                     )
-                    if best_uspill is not None and total == best_uspill:
+                    # Every feasible candidate that gets past the key test
+                    # is cheaper, or equal in cost with a smaller key.
+                    key = None
+                    if total == best_rep.uspill:
                         key = tiling.canonical_key(sol)
-                        if best_key is not None and key >= best_key:
+                        if key >= best_key:
                             continue
                     if not tiling.feasible(sol, instance).ok:
                         continue
                     rep = tiling.cost(sol, instance)
                     assert rep.uspill == total, "enumeration cost drifted from evaluator"
-                    key = tiling.canonical_key(sol)
-                    if (
-                        best_uspill is None
-                        or rep.uspill < best_uspill
-                        or (rep.uspill == best_uspill and key < best_key)
-                    ):
-                        best_uspill = rep.uspill
-                        best_key = key
-                        best = (sol, rep)
+                    best, best_rep = sol, rep
+                    best_key = key if key is not None else tiling.canonical_key(sol)
 
-    assert best is not None  # all-spill singleton tiling is always feasible here
-    sol, rep = best
-    return OracleResult(rep.spill, rep.uspill, sol, rep, candidates)
+    return OracleResult(best_rep.spill, best_rep.uspill, best, best_rep, candidates)

@@ -6,7 +6,9 @@ border points, tile widths, edge and state spill flags), constraint
 propagation on bitmask domains, empty-tiles-last symmetry breaking, and an
 admissible spill lower bound for pruning against the incumbent.  Every leaf
 is validated and scored with the tiling evaluators, so the search can only
-ever return what the model itself accepts.
+ever return what the model itself accepts.  Spill flags are branched on
+only once the geometry (ranks, points, widths) is fixed, which is why
+propagation needs no pressure failure test (see ``propagate``).
 """
 
 from __future__ import annotations
@@ -18,7 +20,16 @@ from enum import Enum
 
 from . import tiling
 from .dfg import ProblemInstance
-from .tiling import CostReport, TilingSolution
+from .tiling import (
+    CostReport,
+    TilingSolution,
+    _bits,
+    _isolated_clusters,
+    _max_bit,
+    _min_bit,
+    _state_charge,
+    _tile_of_rank,
+)
 
 __all__ = [
     "SolveStatus",
@@ -77,18 +88,6 @@ class SolveOutcome:
         }
 
 
-def _min_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _max_bit(mask: int) -> int:
-    return mask.bit_length() - 1
-
-
-def _decided(mask: int) -> bool:
-    return mask != 0 and mask & (mask - 1) == 0
-
-
 class _Model:
     """Static shape of one instance: variable layout and incidence lists.
 
@@ -100,7 +99,6 @@ class _Model:
 
     def __init__(self, instance: ProblemInstance):
         g = instance.graph
-        self.instance = instance
         self.n = n = len(g.nodes)
         self.node_ids = g.node_ids
         self.comp = [nd.comp for nd in g.nodes]
@@ -118,22 +116,12 @@ class _Model:
         group_index = {grp.id: gi for gi, grp in enumerate(g.groups)}
         self.group_of_edge = [group_index[e.group] for e in g.edges]
 
-        # Isolated nodes with equal comp and state are interchangeable:
-        # pinning them to declaration order discards only relabelings of
-        # solutions that remain in the search space.
-        touched = set()
-        for e in g.edges:
-            touched.add(e.src)
-            touched.add(e.dst)
-        clusters: dict[tuple[int, int], list[int]] = {}
-        for i, nd in enumerate(g.nodes):
-            if nd.id not in touched:
-                clusters.setdefault((nd.comp, nd.state), []).append(i)
+        # Pinning interchangeable isolated nodes to declaration order
+        # discards only relabelings of solutions that stay in the space.
         self.order_pairs = [(index[e.src], index[e.dst]) for e in g.edges]
-        for members in clusters.values():
-            for a, b in zip(members, members[1:]):
-                self.order_pairs.append((a, b))
-        self.rank0 = 0
+        for members in _isolated_clusters(g):
+            ranks = [index[v] for v in members]
+            self.order_pairs.extend(zip(ranks, ranks[1:]))
         self.point0 = n
         self.width0 = 2 * n
         self.espill0 = 3 * n
@@ -181,7 +169,7 @@ def break_symmetry(model: _Model, dom: Domains) -> bool:
     p0 = model.point0
     for t in range(1, n):
         a, b = dom[p0 + t - 1], dom[p0 + t]
-        if a == b and _decided(a) and _min_bit(a) != n - 1:
+        if a == b and a and not a & (a - 1) and _min_bit(a) != n - 1:
             return False
     return True
 
@@ -195,15 +183,21 @@ def propagate(
 ) -> bool:
     """Prune domains to a fixpoint; False signals a dead branch.
 
-    Covers: precedence bounds plus forward-checking for the rank
-    alldifferent, the non-decreasing border chain, forced spill flags for
-    edges whose endpoints must straddle a border, width canonicalization of
-    known-empty tiles, and pressure-driven rules built on an admissible
-    per-point lower bound: fail when the bound already exceeds the limit,
-    prune tile widths a point can no longer afford, and force the spill of
-    states and entailed-crossing edges that would otherwise overflow.  When
-    an incumbent cost is given, branches whose forced spill alone reaches
-    it are abandoned.
+    Rules: precedence bounds plus forward-checking for the rank
+    alldifferent, the non-decreasing border chain, empty-tiles-last symmetry
+    breaking, width canonicalization of known-empty tiles, forced spills of
+    edges whose endpoints must straddle a border, and, on an admissible
+    per-point pressure lower bound ``press_lb``, forced spills of states and
+    edges whose keep would overflow a point.  With an incumbent cost,
+    branches whose spill lower bound reaches it are abandoned.
+
+    ``press_lb`` never exceeds the limit, so no rule fails on it or prunes
+    widths.  A spill flag sits in one constraint (score at most 1) and has a
+    higher index than every rank, point and width, so ``_select_variable``
+    picks no flag while one of those is undecided.  Propagation forces
+    spills, never keeps, so until then ``press_lb`` is the minimum comp,
+    at most ``max_comp`` <= limit.  After it, the forcing rules check every
+    keep exactly before it is branched on.
     """
     n = model.n
     if n == 0:
@@ -282,18 +276,8 @@ def propagate(
         # Tile interval of each rank from the (monotone) point bounds.
         p_lo = [(dom[p0 + t] & -dom[p0 + t]).bit_length() - 1 for t in range(n)]
         p_hi = [dom[p0 + t].bit_length() - 1 for t in range(n)]
-        tile_lo_of_rank = [0] * n
-        tile_hi_of_rank = [0] * n
-        t = 0
-        for r in range(n):
-            while p_hi[t] < r:
-                t += 1
-            tile_lo_of_rank[r] = t
-        t = 0
-        for r in range(n):
-            while p_lo[t] < r:
-                t += 1
-            tile_hi_of_rank[r] = t
+        tile_lo_of_rank = _tile_of_rank(p_hi, n)
+        tile_hi_of_rank = _tile_of_rank(p_lo, n)
 
         for k, (si, di, _reg, _eid) in enumerate(edges):
             hi_s = tile_hi_of_rank[dom[si].bit_length() - 1]
@@ -341,6 +325,7 @@ def propagate(
                     mask |= (1 << hi) - (1 << lo)
             forced_cross[gi] = mask
 
+        # Never above the limit (see the docstring), so no failure test here.
         press_lb = [0] * n
         for j in range(n):
             press = comp_min[j] + reserve_min
@@ -348,33 +333,7 @@ def propagate(
             for gi, (reg, _members) in enumerate(groups):
                 if forced_cross[gi] & bit:
                     press += reg * wmin_at[j]
-            if press > limit:
-                return False
             press_lb[j] = press
-
-        # Width values a point can no longer afford (tile determined).
-        for j in range(n):
-            t = tile_lo_of_rank[j]
-            if t != tile_hi_of_rank[j]:
-                continue
-            cj = 0
-            bit = 1 << j
-            for gi, (reg, _members) in enumerate(groups):
-                if forced_cross[gi] & bit:
-                    cj += reg
-            if cj == 0:
-                continue
-            room = limit - comp_min[j] - reserve_min
-            wmax_ok = room // cj
-            if wmax_ok < 0:
-                return False
-            allowed = (2 << wmax_ok) - 1 if wmax_ok >= 0 else 0
-            nd = dom[w0 + t] & allowed
-            if nd != dom[w0 + t]:
-                if not nd:
-                    return False
-                dom[w0 + t] = nd
-                changed = True
 
         # A state whose keep would overflow some point must spill.
         for i in range(n):
@@ -394,19 +353,20 @@ def propagate(
                 continue
             gi = model.group_of_edge[k]
             extra = ((1 << hi) - (1 << lo)) & ~forced_cross[gi]
-            for j in _iter_bits(extra):
+            for j in _bits(extra):
                 if press_lb[j] + reg * wmin_at[j] > limit:
                     dom[e0 + k] = 0b10
                     changed = True
                     break
 
     if incumbent_uspill is not None:
-        if _cost_lower_bound(model, dom, p_lo, p_hi, press_lb) >= incumbent_uspill:
+        bound = _cost_lower_bound(model, dom, tile_lo_of_rank, tile_hi_of_rank, press_lb)
+        if bound >= incumbent_uspill:
             return False
     return True
 
 
-def _cost_lower_bound(model, dom, p_lo, p_hi, press_lb) -> int:
+def _cost_lower_bound(model, dom, tile_lo_of_rank, tile_hi_of_rank, press_lb) -> int:
     """Admissible spill lower bound for the current domains.
 
     Counts decided spill flags at their cheapest possible charge, plus a
@@ -427,16 +387,14 @@ def _cost_lower_bound(model, dom, p_lo, p_hi, press_lb) -> int:
             undecided_state += model.state[i]
         if flag != 0b10:
             continue
-        rlo = (dom[i] & -dom[i]).bit_length() - 1
-        rhi = dom[i].bit_length() - 1
-        tlo = next(t for t in range(n) if p_hi[t] >= rlo)
-        thi = next(t for t in range(n) if p_lo[t] >= rhi)
-        wmax = max(dom[w0 + t].bit_length() - 1 for t in range(tlo, thi + 1))
-        lb += -(-u // wmax) * model.state[i]
+        tlo = tile_lo_of_rank[_min_bit(dom[i])]
+        thi = tile_hi_of_rank[_max_bit(dom[i])]
+        wmax = max(_max_bit(dom[w0 + t]) for t in range(tlo, thi + 1))
+        lb += _state_charge(u, wmax, model.state[i])
     if undecided_state:
         excess = max(press_lb) + undecided_state - model.limit
         if excess > 0:
-            lb += min(excess, undecided_state) * (-(-u // model.mw))
+            lb += _state_charge(u, model.mw, min(excess, undecided_state))
     return lb
 
 
@@ -467,18 +425,11 @@ def _select_variable(model, dom) -> int | None:
 def _choose_value(model, dom, var, rng) -> int:
     mask = dom[var]
     if var < model.point0:
-        bits = list(_iter_bits(mask))
+        bits = list(_bits(mask))
         return bits[rng.randrange(len(bits))]
     if var < model.espill0:
         return _max_bit(mask)
     return _min_bit(mask)
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _leaf_solution(model, dom) -> TilingSolution:
@@ -509,24 +460,20 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
     always yields a witness.
     """
     start = time.monotonic()
-    graph = instance.graph
-    n = len(graph.nodes)
 
     def done(status, best, rep, explored=0, backtracks=0, updates=0):
         wall = (time.monotonic() - start) * 1000.0
         return SolveOutcome(status, best, rep, SearchStats(explored, backtracks, updates, wall))
 
-    if n == 0:
+    if not instance.graph.nodes:
         sol = TilingSolution((), (), (), frozenset(), frozenset())
         return done(SolveStatus.OPTIMAL, sol, tiling.cost(sol, instance))
     if instance.limit < instance.max_comp:
         return done(SolveStatus.INFEASIBLE, None, None)
 
-    fallback = tiling.all_spill_solution(instance)
-    assert tiling.feasible(fallback, instance).ok
-    incumbent = fallback
-    incumbent_rep = tiling.cost(fallback, instance)
-    incumbent_uspill = incumbent_rep.uspill
+    incumbent = tiling.all_spill_solution(instance)
+    assert tiling.feasible(incumbent, instance).ok
+    incumbent_rep = tiling.cost(incumbent, instance)
 
     model = _Model(instance)
     rng = random.Random(cfg.seed)
@@ -553,7 +500,7 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
             model,
             dom,
             symmetry=cfg.symmetry_breaking,
-            incumbent_uspill=incumbent_uspill,
+            incumbent_uspill=incumbent_rep.uspill,
         ):
             backtracks += 1
             continue
@@ -562,8 +509,8 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
             sol = _leaf_solution(model, dom)
             if tiling.feasible(sol, instance).ok:
                 rep = tiling.cost(sol, instance)
-                if rep.uspill < incumbent_uspill:
-                    incumbent, incumbent_rep, incumbent_uspill = sol, rep, rep.uspill
+                if rep.uspill < incumbent_rep.uspill:
+                    incumbent, incumbent_rep = sol, rep
                     updates += 1
             backtracks += 1
             continue
@@ -576,6 +523,5 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
         stack.append(dom)
 
     status = SolveStatus.FEASIBLE if budget_hit else SolveStatus.OPTIMAL
-    final_rep = tiling.cost(incumbent, instance)
     assert tiling.feasible(incumbent, instance).ok
-    return done(status, incumbent, final_rep, explored, backtracks, updates)
+    return done(status, incumbent, incumbent_rep, explored, backtracks, updates)

@@ -65,23 +65,19 @@ class TilingSolution:
         if len(set(self.order)) != len(self.order):
             raise ValueError("order contains duplicate node ids")
         last = len(self.order) - 1
+        norm = []
         prev = -1
-        for t, p in enumerate(points):
+        for p, w in zip(points, widths):
             if p < prev:
                 raise ValueError("tile_points must be non-decreasing")
             if not -1 <= p <= last:
                 raise ValueError(f"tile point {p} out of range [-1, {last}]")
-            prev = p
-        if self.order and (not points or points[-1] != last):
-            raise ValueError(f"final tile point must be {last}")
-        norm = []
-        prev = -1
-        for t, p in enumerate(points):
-            w = widths[t]
             if w < 1:
                 raise ValueError("tile widths must be >= 1")
             norm.append(1 if p == prev else w)
             prev = p
+        if self.order and (not points or points[-1] != last):
+            raise ValueError(f"final tile point must be {last}")
         object.__setattr__(self, "tile_widths", tuple(norm))
 
     @cached_property
@@ -90,8 +86,7 @@ class TilingSolution:
 
     @cached_property
     def tile_of_rank(self) -> tuple[int, ...]:
-        points = self.tile_points
-        return tuple(bisect_left(points, r) for r in range(len(self.order)))
+        return _tile_of_rank(self.tile_points, len(self.order))
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,9 +99,19 @@ class TilingSolution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TilingSolution":
+        """Read a solution document; ValueError when a key is missing or is
+        not a list of the expected element type."""
+        if not isinstance(doc, dict):
+            raise ValueError("solution document must be a JSON object")
         for key in ("order", "tile_points", "tile_widths"):
             if key not in doc:
                 raise ValueError(f"solution document missing {key!r}")
+        for key, kind in _SOLUTION_FIELDS.items():
+            val = doc.get(key, [])
+            if not isinstance(val, list) or not all(
+                isinstance(x, kind) and not isinstance(x, bool) for x in val
+            ):
+                raise ValueError(f"{key!r} must be a list of {kind.__name__}")
         return cls(
             tuple(doc["order"]),
             tuple(doc["tile_points"]),
@@ -114,6 +119,59 @@ class TilingSolution:
             frozenset(doc.get("spill_edges", ())),
             frozenset(doc.get("spill_states", ())),
         )
+
+
+_SOLUTION_FIELDS = {
+    "order": str,
+    "tile_points": int,
+    "tile_widths": int,
+    "spill_edges": str,
+    "spill_states": str,
+}
+
+
+# Helpers shared with the solver and the oracle; kept out of ``__all__``
+# because they are inner-loop code, not entry points.
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _min_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _max_bit(mask: int) -> int:
+    return mask.bit_length() - 1
+
+
+def _tile_of_rank(points, count: int) -> tuple[int, ...]:
+    """Tile owning each rank below ``count`` (``points`` non-decreasing)."""
+    return tuple(bisect_left(points, r) for r in range(count))
+
+
+def _state_charge(unroll: int, width: int, state: int) -> int:
+    """Loads of a spilled state: ceil(unroll / width) tile repetitions."""
+    return -(-unroll // width) * state
+
+
+def _isolated_clusters(graph: DataFlowGraph) -> list[list[str]]:
+    """Edge-free nodes grouped by equal (comp, state), in declaration order.
+
+    Permuting one cluster's members maps every tiling to one of equal cost
+    and pressure, so a search may pin each cluster to a fixed order.
+    """
+    touched = {e.src for e in graph.edges} | {e.dst for e in graph.edges}
+    clusters: dict[tuple[int, int], list[str]] = {}
+    for nd in graph.nodes:
+        if nd.id not in touched:
+            clusters.setdefault((nd.comp, nd.state), []).append(nd.id)
+    return list(clusters.values())
 
 
 def canonical_key(sol: TilingSolution) -> str:
@@ -220,13 +278,6 @@ def _group_cross_masks(sol: TilingSolution, graph: DataFlowGraph) -> dict[str, i
     return masks
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def edge_crossings(sol: TilingSolution, graph: DataFlowGraph) -> EdgeCrossings:
     """Crossed points per edge and per group (see class docstring)."""
     _check_solution(sol, graph)
@@ -321,7 +372,7 @@ def cost(sol: TilingSolution, instance: ProblemInstance) -> CostReport:
         if n.id not in sol.state_spill or n.state == 0:
             continue
         w = sol.tile_widths[tiles[rank[n.id]]]
-        state += -(-u // w) * n.state
+        state += _state_charge(u, w, n.state)
         charge = sum(
             Fraction(min(s.distance, w) * s.reg, w) for s in n.sources
         )

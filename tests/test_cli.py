@@ -4,6 +4,9 @@ import pytest
 
 from regtile import cli
 
+from .conftest import PAPER_TILING
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -208,3 +211,96 @@ class TestMisc:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["cost"]["spill"] == "3"
+
+
+def _doc_with(doc, **changes):
+    return json.dumps({**doc, **changes})
+
+
+# Malformed inputs and error exits: (argv, environment, exit code, error
+# type).  "{x}" in argv names a file the test writes from FILES.
+ERROR_CASES = {
+    "env-budget-not-a-number": (
+        ["solve", "--instance", "{toy}"], {"LRT_TIME_BUDGET_MS": "abc"}, 2, "validation"
+    ),
+    "env-budget-negative": (
+        ["solve", "--instance", "{toy}"], {"LRT_TIME_BUDGET_MS": "-1"}, 2, "validation"
+    ),
+    "negative-node-budget": (
+        ["solve", "--instance", "{toy}", "--node-budget", "-5"], {}, 2, "validation"
+    ),
+    "negative-time-budget": (
+        ["solve", "--instance", "{toy}", "--time-budget-ms", "-1"], {}, 2, "validation"
+    ),
+    "nan-time-budget": (
+        ["solve", "--instance", "{toy}", "--time-budget-ms", "nan"], {}, 2, "validation"
+    ),
+    "unreadable-instance": (
+        ["solve", "--instance", "{missing}"], {}, 2, "validation"
+    ),
+    "solution-spill-set-string": (
+        ["cost", "--instance", "{toy}", "--solution", "{sol_str}"], {}, 2, "validation"
+    ),
+    "solution-float-point": (
+        ["cost", "--instance", "{toy}", "--solution", "{sol_float_point}"], {}, 2, "validation"
+    ),
+    "solution-float-width-cost": (
+        ["cost", "--instance", "{toy}", "--solution", "{sol_float_width}"], {}, 2, "validation"
+    ),
+    "solution-float-width-codegen": (
+        ["codegen", "--instance", "{toy}", "--solution", "{sol_float_width}"], {}, 2, "validation"
+    ),
+    "solution-not-json": (
+        ["cost", "--instance", "{toy}", "--solution", "{broken}"], {}, 2, "validation"
+    ),
+    "oracle-infeasible": (
+        ["oracle", "--instance", "{toy}", "--registers", "1"], {}, 3, "infeasible"
+    ),
+    "oracle-too-large": (
+        ["oracle", "--instance", "{toy}", "--max-nodes", "2"], {}, 2, "instance-too-large"
+    ),
+    "stats-no-input": (["stats"], {}, 2, "validation"),
+    "stats-bad-generate": (["stats", "--generate", "7"], {}, 2, "validation"),
+    "stats-negative-count": (["stats", "--generate", "7,-1"], {}, 2, "validation"),
+    "stats-zero-nodes": (
+        ["stats", "--generate", "1,3", "--nodes", "0,0"], {}, 2, "validation"
+    ),
+    "stats-negative-edges": (
+        ["stats", "--generate", "1,3", "--edges=-2,1"], {}, 2, "validation"
+    ),
+    "sweep-bad-span": (
+        ["sweep", "--instance", "{toy}", "--unroll", "1-4"], {}, 2, "validation"
+    ),
+    "sweep-empty-span": (
+        ["sweep", "--instance", "{toy}", "--unroll", "3..1"], {}, 2, "validation"
+    ),
+    "sweep-max-width-not-int": (
+        ["sweep", "--instance", "{mw_str}", "--unroll", "1..2"], {}, 2, "validation"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
+    argv, env, code, kind = ERROR_CASES[case]
+    files = {
+        "toy": json.dumps(toy_doc),
+        "mw_str": _doc_with(toy_doc, max_width="x"),
+        "sol_str": _doc_with(PAPER_TILING, spill_edges="ae"),
+        "sol_float_point": _doc_with(PAPER_TILING, tile_points=[0, 1.0, 3]),
+        "sol_float_width": _doc_with(PAPER_TILING, tile_widths=[6.0, 6, 3]),
+        "broken": "{broken",
+    }
+    paths = {"missing": str(tmp_path / "missing.json")}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    monkeypatch.delenv(cli.TIME_BUDGET_ENV, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    error = json.loads(err)["error"]
+    assert error["type"] == kind
+    assert isinstance(error["message"], str) and error["message"]

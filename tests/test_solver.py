@@ -155,3 +155,39 @@ class TestPropagate:
         dom[model.point0] = 1 << 0  # border right after rank 0
         assert solver.propagate(model, dom)
         assert dom[model.espill0] == 0b10  # spill forced true
+
+
+class TestSearchIdentity:
+    """Work counts measured before the unreachable pruning rules were
+    removed: the search and the enumeration must not change."""
+
+    def test_toy_counts(self):
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        assert solver.solve(inst).stats.explored == 13_167
+        assert oracle.brute_force(inst).candidates == 3_347
+
+    def test_corpus_slice_counts(self):
+        corpus = stats.generate_corpus(42, 200)[:20]
+        assert sum(solver.solve(inst).stats.explored for inst in corpus) == 9_796
+        assert sum(oracle.brute_force(inst).candidates for inst in corpus) == 94_436
+
+    def test_no_spill_flag_chosen_before_geometry(self, monkeypatch):
+        # The invariant that makes a pressure failure test unnecessary in
+        # propagate: spill flags are branched on only once every rank,
+        # point and width is decided.
+        real = solver._select_variable
+        choices = []
+
+        def checked(model, dom):
+            var = real(model, dom)
+            if var is not None and var >= model.espill0:
+                geometry = dom[: model.espill0]
+                choices.append(all(d & (d - 1) == 0 for d in geometry))
+            return var
+
+        monkeypatch.setattr(solver, "_select_variable", checked)
+        instances = [dfg.instance_from_document(toy_document(), registers=6)]
+        instances += stats.generate_corpus(42, 200)[:20]
+        for inst in instances:
+            solver.solve(inst)
+        assert choices and all(choices)

@@ -39,6 +39,32 @@ class TestSolutionStructure:
         doc = paper_tiling.to_json_dict()
         assert tiling.TilingSolution.from_json_dict(doc) == paper_tiling
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("order", "S0S2S1S3"),
+            ("order", ["S0", "S2", "S1", 3]),
+            ("tile_points", [0, 1.0, 3]),
+            ("tile_points", [0, True, 3]),
+            ("tile_points", "013"),
+            ("tile_widths", [6.0, 6, 3]),
+            ("tile_widths", None),
+            ("spill_edges", "ae"),
+            ("spill_edges", ["a", 1]),
+            ("spill_states", {"S0": 1}),
+        ],
+    )
+    def test_from_json_dict_rejects_bad_types(self, paper_tiling, key, value):
+        doc = paper_tiling.to_json_dict()
+        doc[key] = value
+        with pytest.raises(ValueError, match=key):
+            tiling.TilingSolution.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "order", None])
+    def test_from_json_dict_rejects_non_objects(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            tiling.TilingSolution.from_json_dict(doc)
+
 
 class TestNodeTileAssignment:
     def test_toy_with_trailing_empty_tiles(self):
