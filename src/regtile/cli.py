@@ -66,14 +66,17 @@ def _load_solution(path: str) -> tiling.TilingSolution:
         raise dfg.InstanceError(f"invalid solution document {path}: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _write(args, text: str) -> None:
+    """Write ``text`` to ``--out`` if given, else to stdout."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, indent=2) + "\n")
 
 
 def _search_config(args) -> solver.SearchConfig:
@@ -113,6 +116,8 @@ def _cmd_solve(args, started) -> int:
 
 
 def _cmd_oracle(args, started) -> int:
+    if args.max_nodes < 1:
+        raise dfg.InstanceError(f"--max-nodes must be >= 1: {args.max_nodes}")
     instance = _load_instance(args)
     try:
         result = oracle.brute_force(instance, max_nodes=args.max_nodes)
@@ -129,6 +134,8 @@ def _cmd_baseline(args, started) -> int:
     budget = args.budget
     if budget is None:
         budget = max(instance.limit - instance.max_comp, 0)
+    elif budget < 0:
+        raise dfg.InstanceError(f"--budget must be >= 0: {budget}")
     report = baseline.register_pipelining(instance.graph, budget)
     payload = {
         "manifest": _manifest(args, started),
@@ -164,12 +171,7 @@ def _cmd_stats(args, started) -> int:
     lines.append(stats.CSV_HEADER)
     for i, inst in enumerate(instances):
         lines.append(stats.classify(inst).csv_row(i))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -225,30 +227,20 @@ def _cmd_codegen(args, started) -> int:
         payload = {"manifest": _manifest(args, started), **program.to_json_dict()}
         _emit(args, payload)
     else:
-        text = program.render()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, program.render())
     return EXIT_OK
 
 
 def _cmd_sweep(args, started) -> int:
     lo, hi = _parse_span(args.unroll_range)
     text = _read(args.instance)
-    try:
-        base_mw = args.max_width if args.max_width is not None else json.loads(text).get("max_width")
-    except (json.JSONDecodeError, AttributeError) as exc:
-        raise dfg.InstanceError(f"invalid instance document: {exc}") from exc
-    if base_mw is not None and (isinstance(base_mw, bool) or not isinstance(base_mw, int)):
-        raise dfg.InstanceError("'max_width' must be int", "max_width")
     cfg = _search_config(args)
     points = []
     worst = EXIT_OK
     for u in range(lo, hi + 1):
-        # The width cap may not exceed the unroll factor, so clamp per point.
-        mw = min(base_mw, u) if base_mw is not None else None
+        # The width cap may not exceed the unroll factor, so clamp per point;
+        # ingest clamps a cap read from the document itself.
+        mw = min(args.max_width, u) if args.max_width is not None else None
         instance = dfg.ingest(text, registers=args.registers, unroll=u, max_width=mw)
         outcome = solver.solve(instance, cfg)
         entry = {"unroll": u, "status": outcome.status.value}

@@ -13,11 +13,14 @@ the tiling optimizer consumes:
 3. ``normalize_states``   - fold self edges into a per-node ``state`` that
    measures the registers needed to carry values between iterations.
 
-``ingest`` runs the whole pipeline on a JSON instance document.
+``DataFlowGraph`` rejects a cycle left after condensation, which only a
+carried dependence running backward can create.  ``ingest`` runs the whole
+pipeline on a JSON instance document.
 """
 
 from __future__ import annotations
 
+import graphlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -56,6 +59,12 @@ class InstanceError(ValueError):
 # Raw (pre-normalization) graphs
 
 
+def _require_unique(ids: list[str], kind: str) -> None:
+    if len(set(ids)) != len(ids):
+        dup = next(i for i in ids if ids.count(i) > 1)
+        raise InstanceError(f"duplicate {kind} id {dup!r}", f"{kind}s")
+
+
 @dataclass(frozen=True)
 class RawNode:
     """A macro-instruction before normalization."""
@@ -84,14 +93,11 @@ class RawDependenceGraph:
     edges: tuple[RawEdge, ...]
 
     def __post_init__(self):
+        # Only ids a solution can name must be unique: self edges fold into
+        # node states, which keep no edge id.
         ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
-            dup = next(i for i in ids if ids.count(i) > 1)
-            raise InstanceError(f"duplicate node id {dup!r}", "nodes")
-        eids = [e.id for e in self.edges]
-        if len(set(eids)) != len(eids):
-            dup = next(i for i in eids if eids.count(i) > 1)
-            raise InstanceError(f"duplicate edge id {dup!r}", "edges")
+        _require_unique(ids, "node")
+        _require_unique([e.id for e in self.edges if e.src != e.dst], "edge")
         declared = set(ids)
         for n in self.nodes:
             if n.comp < 0:
@@ -179,7 +185,18 @@ class DataFlowGraph:
     groups: tuple[EdgeGroup, ...]
 
     def __post_init__(self):
-        _toposort(self.node_ids, [(e.src, e.dst) for e in self.edges])
+        _require_acyclic(
+            self.node_ids,
+            self.edges,
+            "cycle among loop-body dependences (ignoring self edges); "
+            "carried back dependences between distinct nodes are not supported",
+        )
+        for grp in self.groups:
+            if any(self.edge_by_id[m].reg != grp.reg for m in grp.members):
+                raise InstanceError(
+                    f"edges {list(grp.members)} share group {grp.id!r} but differ in reg",
+                    "edges",
+                )
 
     @cached_property
     def node_ids(self) -> tuple[str, ...]:
@@ -227,64 +244,56 @@ class ProblemInstance:
 # Strongly connected components (distance-0 subgraph)
 
 
+def _postorder(adj: list[list[int]], root: int, seen: list[bool], out: list[int]) -> None:
+    """Append each node reachable from ``root`` and not yet ``seen`` to
+    ``out`` after all of its own successors (iterative depth-first search)."""
+    seen[root] = True
+    frames = [(root, iter(adj[root]))]
+    while frames:
+        v, todo = frames[-1]
+        for w in todo:
+            if not seen[w]:
+                seen[w] = True
+                frames.append((w, iter(adj[w])))
+                break
+        else:
+            frames.pop()
+            out.append(v)
+
+
 def strongly_connected_components(g: RawDependenceGraph) -> list[tuple[str, ...]]:
     """SCCs of the distance-0 subgraph, ordered by first declaration.
 
     Inter-iteration edges (distance > 0) never create intra-iteration
-    cycles, so they are ignored here.
+    cycles, so they are ignored here.  Members are listed in declaration
+    order.  Sharir's two passes take linear time: record the finish order of
+    a search of the graph, then search the reversed graph from each node in
+    reverse finish order; each new search reaches exactly one component.
     """
     index_of = {n.id: i for i, n in enumerate(g.nodes)}
-    succ: list[list[int]] = [[] for _ in g.nodes]
+    n = len(g.nodes)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for e in g.edges:
         if e.distance == 0 and e.src != e.dst:
-            succ[index_of[e.src]].append(index_of[e.dst])
+            s, d = index_of[e.src], index_of[e.dst]
+            succ[s].append(d)
+            pred[d].append(s)
 
-    n = len(g.nodes)
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    comps: list[list[int]] = []
-
-    # Iterative Tarjan: (vertex, iterator position) frames.
+    finished: list[int] = []
+    seen = [False] * n
     for root in range(n):
-        if order[root] != -1:
-            continue
-        frames = [(root, 0)]
-        while frames:
-            v, pos = frames.pop()
-            if pos == 0:
-                order[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pos, len(succ[v])):
-                w = succ[v][k]
-                if order[w] == -1:
-                    frames.append((v, k + 1))
-                    frames.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], order[w])
-            if advanced:
-                continue
-            if low[v] == order[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if frames:
-                parent = frames[-1][0]
-                low[parent] = min(low[parent], low[v])
+        if not seen[root]:
+            _postorder(succ, root, seen, finished)
+    comps: list[list[int]] = []
+    assigned = [False] * n
+    for root in reversed(finished):
+        if not assigned[root]:
+            comp: list[int] = []
+            _postorder(pred, root, assigned, comp)
+            comps.append(sorted(comp))
 
-    comps.sort(key=lambda c: c[0])
+    comps.sort()
     ids = g.node_ids
     return [tuple(ids[i] for i in comp) for comp in comps]
 
@@ -300,11 +309,18 @@ def condense_sccs(g: RawDependenceGraph) -> RawDependenceGraph:
     remapped edges stay distinct.
     """
     comps = strongly_connected_components(g)
-    merged_id = {}
+    # A merged node is named by joining its members; when a surviving id
+    # already has that name, primes are appended until the name is fresh.
+    taken = {c[0] for c in comps if len(c) == 1}
+    names = []
     for comp in comps:
-        name = "+".join(comp) if len(comp) > 1 else comp[0]
-        for member in comp:
-            merged_id[member] = name
+        name = comp[0]
+        if len(comp) > 1:
+            name = "+".join(comp)
+            while name in taken:
+                name += "'"
+            taken.add(name)
+        names.append(name)
 
     comp_of = {m: i for i, c in enumerate(comps) for m in c}
     extra_comp = [0] * len(comps)
@@ -315,12 +331,12 @@ def condense_sccs(g: RawDependenceGraph) -> RawDependenceGraph:
             extra_comp[ci] += e.reg
             continue
         kept_edges.append(
-            RawEdge(e.id, merged_id[e.src], merged_id[e.dst], e.reg, e.distance, e.variable)
+            RawEdge(e.id, names[ci], names[cj], e.reg, e.distance, e.variable)
         )
 
     comp_sum = {n.id: n.comp for n in g.nodes}
     nodes = tuple(
-        RawNode("+".join(c) if len(c) > 1 else c[0], sum(comp_sum[m] for m in c) + extra_comp[i])
+        RawNode(names[i], sum(comp_sum[m] for m in c) + extra_comp[i])
         for i, c in enumerate(comps)
     )
     return RawDependenceGraph(nodes, tuple(kept_edges))
@@ -343,24 +359,14 @@ def decompose_diagonal(g: RawDependenceGraph) -> RawDependenceGraph:
     return RawDependenceGraph(g.nodes, tuple(out))
 
 
-def _toposort(ids, arcs, message: str = "cycle among distance-0 edges") -> list[str]:
-    indeg = {i: 0 for i in ids}
-    succ = {i: [] for i in ids}
-    for s, d in arcs:
-        succ[s].append(d)
-        indeg[d] += 1
-    ready = [i for i in ids if indeg[i] == 0]
-    order = []
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(order) != len(indeg):
-        raise InstanceError(message, "edges")
-    return order
+def _require_acyclic(ids, edges, message: str) -> None:
+    preds: dict[str, list[str]] = {i: [] for i in ids}
+    for e in edges:
+        preds[e.dst].append(e.src)
+    try:
+        graphlib.TopologicalSorter(preds).prepare()
+    except graphlib.CycleError:
+        raise InstanceError(message, "edges") from None
 
 
 def normalize_states(g: RawDependenceGraph) -> DataFlowGraph:
@@ -374,8 +380,6 @@ def normalize_states(g: RawDependenceGraph) -> DataFlowGraph:
     vertical: list[RawEdge] = []
     for e in g.edges:
         if e.src == e.dst:
-            if e.distance == 0:
-                raise InstanceError(f"self edge {e.id!r} has distance 0", "edges")
             self_edges[e.src].append(e)
         elif e.distance > 0:
             raise InstanceError(
@@ -397,28 +401,17 @@ def normalize_states(g: RawDependenceGraph) -> DataFlowGraph:
     # Groups: same source and same carried variable share a group; an edge
     # without a variable, and every ordering-only (reg 0) edge, stands alone.
     group_members: dict[str, list[RawEdge]] = {}
-    group_order: list[str] = []
     edges = []
     for e in vertical:
         if e.reg > 0 and e.variable is not None:
             gid = f"{e.src}/{e.variable}"
         else:
             gid = e.id
-        if gid not in group_members:
-            group_members[gid] = []
-            group_order.append(gid)
-        group_members[gid].append(e)
+        group_members.setdefault(gid, []).append(e)
         edges.append(Edge(e.id, e.src, e.dst, e.reg, gid, e.variable))
 
     groups = []
-    for gid in group_order:
-        members = group_members[gid]
-        regs = {e.reg for e in members}
-        if len(regs) != 1:
-            raise InstanceError(
-                f"edges {[e.id for e in members]} share group {gid!r} but differ in reg",
-                "edges",
-            )
+    for gid, members in group_members.items():
         name = members[0].variable or members[0].id
         groups.append(EdgeGroup(gid, tuple(e.id for e in members), members[0].reg, name))
 
@@ -430,17 +423,10 @@ def normalize(g: RawDependenceGraph) -> DataFlowGraph:
 
     Condensation fuses only intra-iteration (distance-0) cycles; a carried
     dependence running backward against the remaining order would make the
-    decomposed body cyclic, so such graphs are rejected here rather than
-    silently fused.
+    decomposed body cyclic, so ``DataFlowGraph`` rejects such graphs rather
+    than silently fusing them.
     """
-    condensed = condense_sccs(g)
-    _toposort(
-        condensed.node_ids,
-        [(e.src, e.dst) for e in condensed.edges if e.src != e.dst],
-        "cycle among loop-body dependences (ignoring self edges); "
-        "carried back dependences between distinct nodes are not supported",
-    )
-    return normalize_states(decompose_diagonal(condensed))
+    return normalize_states(decompose_diagonal(condense_sccs(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +461,10 @@ def instance_from_document(
     """Validate and normalize one instance document.
 
     Keyword overrides take precedence over the document's own fields
-    (mirrors the CLI flags).  Raw-form documents (self_edges, nonzero
-    distances) go through the full normalization pipeline; documents that
-    claim to be normalized must already be acyclic.
+    (mirrors the CLI flags); a ``max_width`` read from the document is
+    capped at an overridden ``unroll``.  Raw-form documents (self_edges,
+    nonzero distances) go through the full normalization pipeline; documents
+    that claim to be normalized must already be acyclic.
     """
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
@@ -490,6 +477,9 @@ def instance_from_document(
         max_width_v = max_width
     else:
         max_width_v = _opt_int(doc, "max_width", unroll_v, "max_width")
+        if unroll is not None:
+            # The document's cap was set for the document's unroll factor.
+            max_width_v = min(max_width_v, unroll)
 
     raw_nodes = []
     synth_edges: list[RawEdge] = []
@@ -540,10 +530,12 @@ def instance_from_document(
 
     raw_form = explicit_self or any(e.distance > 0 or e.src == e.dst for e in raw_edges)
     g = RawDependenceGraph(tuple(raw_nodes), tuple(raw_edges) + tuple(synth_edges))
+    # The graph checks no self edge ids, but the document's must be unique.
+    _require_unique([e.id for e in raw_edges], "edge")
     if not raw_form:
         # A document in normalized form promises an acyclic edge set; a cycle
         # here is a contract violation rather than something to condense away.
-        _toposort(g.node_ids, [(e.src, e.dst) for e in raw_edges])
+        _require_acyclic(g.node_ids, raw_edges, "cycle among distance-0 edges")
     graph = normalize(g)
     return ProblemInstance(name, graph, limit, unroll_v, max_width_v)
 

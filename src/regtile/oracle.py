@@ -56,33 +56,18 @@ class OracleResult:
 
 def _topological_orders(node_ids, edges):
     """All topological orders, in lexicographic declaration-index order."""
-    n = len(node_ids)
-    index = {v: i for i, v in enumerate(node_ids)}
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
+    preds = {v: set() for v in node_ids}
     for src, dst in edges:
-        succ[index[src]].append(index[dst])
-        indeg[index[dst]] += 1
+        preds[dst].add(src)
 
-    order: list[int] = []
+    def extend(prefix, placed):
+        if len(prefix) == len(node_ids):
+            yield prefix
+        for v in node_ids:
+            if v not in placed and preds[v] <= placed:
+                yield from extend(prefix + (v,), placed | {v})
 
-    def rec():
-        if len(order) == n:
-            yield tuple(node_ids[i] for i in order)
-            return
-        for v in range(n):
-            if indeg[v] == 0:
-                indeg[v] = -1
-                for w in succ[v]:
-                    indeg[w] -= 1
-                order.append(v)
-                yield from rec()
-                order.pop()
-                indeg[v] = 0
-                for w in succ[v]:
-                    indeg[w] += 1
-
-    yield from rec()
+    return extend((), frozenset())
 
 
 def _subsets_by_cost(costs: list[int]):

@@ -42,6 +42,14 @@ class TestSolve:
         # With 16 registers everything fits in registers: zero spill.
         assert payload["cost"]["spill"] == "0"
 
+    def test_document_max_width_follows_unroll(self, capsys, toy_files):
+        instance_path, _ = toy_files
+        code, out, _ = run_cli(
+            capsys, "solve", "--instance", str(instance_path), "--unroll", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "optimal"
+
     def test_infeasible_exit_code(self, capsys, tmp_path):
         path = tmp_path / "tight.json"
         path.write_text(json.dumps({
@@ -255,6 +263,15 @@ ERROR_CASES = {
     ),
     "oracle-infeasible": (
         ["oracle", "--instance", "{toy}", "--registers", "1"], {}, 3, "infeasible"
+    ),
+    "oracle-max-nodes-zero": (
+        ["oracle", "--instance", "{toy}", "--max-nodes", "0"], {}, 2, "validation"
+    ),
+    "oracle-max-nodes-negative": (
+        ["oracle", "--instance", "{toy}", "--max-nodes", "-1"], {}, 2, "validation"
+    ),
+    "baseline-negative-budget": (
+        ["baseline", "--instance", "{toy}", "--budget", "-3"], {}, 2, "validation"
     ),
     "oracle-too-large": (
         ["oracle", "--instance", "{toy}", "--max-nodes", "2"], {}, 2, "instance-too-large"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from regtile import dfg
+from regtile import dfg, solver
 
 from .helpers import random_pipeline_graph, random_raw_graph, reachability_scc_count
 from .conftest import toy_document
@@ -74,6 +74,13 @@ class TestIngest:
             (lambda d: d["edges"][0].update(distance=-1), "negative distance"),
             (lambda d: d.update(unroll=0), "unroll"),
             (lambda d: d.update(max_width=9), "max_width"),
+            (lambda d: d["edges"].append(dict(d["edges"][0])), "duplicate edge id 'a'"),
+            (
+                lambda d: d["edges"].append(
+                    {"id": "a", "src": "S2", "dst": "S2", "reg": 1, "distance": 1}
+                ),
+                "duplicate edge id 'a'",
+            ),
         ],
     )
     def test_validation_failures(self, mutate, message):
@@ -162,6 +169,74 @@ class TestIngest:
     def test_cli_style_overrides(self, toy_doc):
         inst = dfg.instance_from_document(toy_doc, registers=6, unroll=12, max_width=4)
         assert (inst.limit, inst.unroll, inst.max_width) == (6, 12, 4)
+
+    @pytest.mark.parametrize("unroll, want", [(2, 2), (6, 6), (12, 6)])
+    def test_document_max_width_capped_at_unroll_override(self, toy_doc, unroll, want):
+        inst = dfg.instance_from_document(toy_doc, unroll=unroll)
+        assert inst.max_width == want
+
+    def test_explicit_max_width_stays_strict(self, toy_doc):
+        with pytest.raises(dfg.InstanceError, match="max_width"):
+            dfg.instance_from_document(toy_doc, unroll=2, max_width=3)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, self_edges, want",
+        [
+            # A node state and a diagonal edge named after the node both
+            # fold into "A~state" self edges.
+            (
+                [{"id": "A", "comp": 1, "state": 1}, {"id": "B", "comp": 1}],
+                [{"id": "A", "src": "A", "dst": "B", "reg": 1, "distance": 1}],
+                [],
+                [("A", 1, 2), ("B", 1, 0)],
+            ),
+            # A user edge named like a synthesized self edge.
+            (
+                [{"id": "A", "comp": 1}, {"id": "B", "comp": 1}],
+                [{"id": "A~self0", "src": "A", "dst": "B", "reg": 1}],
+                [{"node": "A", "reg": 1, "distance": 1, "variable": "w"}],
+                [("A", 1, 1), ("B", 1, 0)],
+            ),
+            # A declared node named like the fused {A, B} cycle.
+            (
+                [{"id": "A", "comp": 1}, {"id": "B", "comp": 1}, {"id": "A+B", "comp": 1}],
+                [
+                    {"id": "x", "src": "A", "dst": "B", "reg": 1},
+                    {"id": "y", "src": "B", "dst": "A", "reg": 1},
+                    {"id": "z", "src": "A", "dst": "A+B", "reg": 1},
+                ],
+                [],
+                [("A+B'", 4, 0), ("A+B", 1, 0)],
+            ),
+        ],
+        ids=["state-vs-diagonal", "self-edge-name", "merged-name"],
+    )
+    def test_made_up_ids_do_not_collide(self, nodes, edges, self_edges, want):
+        doc = {
+            "name": "collide", "registers": 8, "unroll": 2,
+            "nodes": nodes, "edges": edges, "self_edges": self_edges,
+        }
+        inst = dfg.instance_from_document(doc)
+        assert [(n.id, n.comp, n.state) for n in inst.graph.nodes] == want
+        assert solver.solve(inst).status is solver.SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_long_raw_graph_ingests(self, ring):
+        # Deep enough to overflow any recursive graph walk.
+        n = 5000
+        edges = [
+            {"id": f"e{i}", "src": f"N{i}", "dst": f"N{i + 1}", "reg": 1}
+            for i in range(n - 1)
+        ]
+        if ring:
+            edges.append({"id": "back", "src": f"N{n - 1}", "dst": "N0", "reg": 1})
+        doc = {
+            "name": "long", "registers": 8, "unroll": 1,
+            "nodes": [{"id": f"N{i}", "comp": 1} for i in range(n)],
+            "edges": edges, "self_edges": [],
+        }
+        inst = dfg.instance_from_document(doc)
+        assert len(inst.graph.nodes) == (1 if ring else n)
 
     def test_round_trip(self, toy_instance):
         doc = dfg.instance_to_document(toy_instance)

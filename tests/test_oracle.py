@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -110,3 +111,30 @@ class TestBruteForce:
         b = oracle.brute_force(inst)
         assert a.witness == b.witness
         assert a.candidates == b.candidates
+
+
+class TestTopologicalOrders:
+    def test_equal_to_arc_respecting_permutations(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            hidden = [f"V{i}" for i in range(n)]  # one topological order
+            arcs = [
+                (hidden[i], hidden[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+                if rng.random() < 0.3
+            ]
+            if rng.random() < 0.5:
+                # Chain the untouched nodes, as brute_force pins a cluster of
+                # interchangeable isolated nodes.
+                touched = {v for arc in arcs for v in arc}
+                free = sorted(v for v in hidden if v not in touched)
+                arcs += list(zip(free, free[1:]))
+            declared = rng.sample(hidden, n)
+            want = [
+                p
+                for p in permutations(declared)
+                if all(p.index(src) < p.index(dst) for src, dst in arcs)
+            ]
+            assert list(oracle._topological_orders(declared, arcs)) == want
