@@ -36,9 +36,7 @@ from .tiling import (
     TilingSolution,
     all_spill_solution,
     cost,
-    edge_crossings,
     feasible,
-    node_tile_assignment,
     pressure,
 )
 
@@ -72,13 +70,11 @@ __all__ = [
     "condense_sccs",
     "cost",
     "decompose_diagonal",
-    "edge_crossings",
     "feasible",
     "generate",
     "generate_corpus",
     "ingest",
     "naive_cost",
-    "node_tile_assignment",
     "normalize",
     "normalize_states",
     "original_pressure",

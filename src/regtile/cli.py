@@ -57,20 +57,21 @@ def _load_instance(args) -> dfg.ProblemInstance:
 
 
 def _load_solution(path: str) -> tiling.TilingSolution:
+    doc = dfg.parse_json(_read(path))
     try:
-        doc = json.loads(_read(path))
         return tiling.TilingSolution.from_json_dict(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, dfg.InstanceError):
-            raise
+    except ValueError as exc:
         raise dfg.InstanceError(f"invalid solution document {path}: {exc}") from exc
 
 
 def _write(args, text: str) -> None:
     """Write ``text`` to ``--out`` if given, else to stdout."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise dfg.InstanceError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -157,9 +158,10 @@ def _cmd_stats(args, started) -> int:
             ) from exc
         if count < 0:
             raise dfg.InstanceError(f"--generate COUNT must be >= 0: {count}")
+        default = stats.CorpusConfig()
         cfg = stats.CorpusConfig(
-            nodes=_parse_range(args.nodes, (3, 5), 1),
-            edges=_parse_range(args.edges, (1, 6), 0),
+            nodes=_parse_range(args.nodes, default.nodes, 1),
+            edges=_parse_range(args.edges, default.edges, 0),
         )
         instances = stats.generate_corpus(seed, count, cfg)
     elif args.instance:
@@ -269,12 +271,21 @@ def _parse_span(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
+def _error(kind: str, message: str, **extra) -> None:
+    error = {"type": kind, "message": message, **extra}
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports flag errors as a JSON ``usage`` error; still exits 2."""
+
+    def error(self, message: str):
+        _error("usage", message, usage=self.format_usage().strip())
+        raise SystemExit(EXIT_USAGE)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="regtile",
         description="Minimize per-iteration loads of an innermost loop body "
         "by jointly choosing instruction order, register tiling, and spills.",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from . import tiling
 from .dfg import ProblemInstance
-from .tiling import TilingSolution, node_tile_assignment
+from .tiling import TilingSolution
 
 __all__ = [
     "ExecOp",
@@ -170,12 +170,6 @@ def generate(
 
     graph = instance.graph
     u = instance.unroll
-    assign = node_tile_assignment(sol)
-    rank = sol.rank
-
-    tile_nodes: dict[int, list[str]] = {}
-    for v in sol.order:
-        tile_nodes.setdefault(assign[v], []).append(v)
 
     taken: set[str] = set()
     group_words = {
@@ -207,9 +201,11 @@ def generate(
     spilled_values: set[str] = set()
     ops: list[ExecOp | LoadOp | StoreOp] = []
 
-    for t in sorted(tile_nodes, key=lambda t: rank[tile_nodes[t][0]]):
-        rows = tile_nodes[t]
-        w = sol.tile_widths[t]
+    # Tiles own consecutive ranks in order; an empty tile emits nothing.
+    start = 0
+    for point, w in zip(sol.tile_points, sol.tile_widths):
+        rows = sol.order[start : point + 1]
+        start = point + 1
         for c0 in range(0, u, w):
             cols = range(c0, min(c0 + w, u))
             last_col = cols[-1]

@@ -41,6 +41,7 @@ __all__ = [
     "normalize_states",
     "normalize",
     "strongly_connected_components",
+    "parse_json",
     "ingest",
     "instance_from_document",
     "instance_to_document",
@@ -399,21 +400,27 @@ def normalize_states(g: RawDependenceGraph) -> DataFlowGraph:
         nodes.append(Node(n.id, n.comp, state, sources))
 
     # Groups: same source and same carried variable share a group; an edge
-    # without a variable, and every ordering-only (reg 0) edge, stands alone.
-    group_members: dict[str, list[RawEdge]] = {}
-    edges = []
+    # without a variable, and every ordering-only (reg 0) edge, stands alone
+    # under its own id.  A shared group is named "<src>/<variable>", with
+    # primes appended while that name is an edge id or an earlier group's.
+    group_members: dict[tuple[str, ...], list[RawEdge]] = {}
     for e in vertical:
-        if e.reg > 0 and e.variable is not None:
-            gid = f"{e.src}/{e.variable}"
-        else:
-            gid = e.id
-        group_members.setdefault(gid, []).append(e)
-        edges.append(Edge(e.id, e.src, e.dst, e.reg, gid, e.variable))
-
+        shared = e.reg > 0 and e.variable is not None
+        key = (e.src, e.variable) if shared else (e.id,)
+        group_members.setdefault(key, []).append(e)
+    taken = {key[0] for key in group_members if len(key) == 1}
+    gid_of: dict[str, str] = {}
     groups = []
-    for gid, members in group_members.items():
+    for key, members in group_members.items():
+        gid = "/".join(key)
+        if len(key) == 2:
+            while gid in taken:
+                gid += "'"
+            taken.add(gid)
+        gid_of.update((e.id, gid) for e in members)
         name = members[0].variable or members[0].id
         groups.append(EdgeGroup(gid, tuple(e.id for e in members), members[0].reg, name))
+    edges = [Edge(e.id, e.src, e.dst, e.reg, gid_of[e.id], e.variable) for e in vertical]
 
     return DataFlowGraph(tuple(nodes), tuple(edges), tuple(groups))
 
@@ -540,6 +547,17 @@ def instance_from_document(
     return ProblemInstance(name, graph, limit, unroll_v, max_width_v)
 
 
+def parse_json(text: str):
+    """Decode one JSON document; InstanceError when it is malformed or
+    nested too deeply for the decoder."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InstanceError("JSON document is nested too deeply") from exc
+
+
 def ingest(
     text: str,
     *,
@@ -548,12 +566,8 @@ def ingest(
     max_width: int | None = None,
 ) -> ProblemInstance:
     """Parse a JSON instance document into a validated, normalized instance."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     return instance_from_document(
-        doc, registers=registers, unroll=unroll, max_width=max_width
+        parse_json(text), registers=registers, unroll=unroll, max_width=max_width
     )
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "solve",
     "propagate",
     "break_symmetry",
-    "Domains",
 ]
 
 
@@ -154,10 +153,7 @@ class _Model:
         return dom
 
 
-Domains = list  # bitmask per variable, indexed per _Model layout
-
-
-def break_symmetry(model: _Model, dom: Domains) -> bool:
+def break_symmetry(model: _Model, dom: list[int]) -> bool:
     """Force unused tiles to the tail: an empty tile may only sit at the end.
 
     Tile t is empty when points t-1 and t coincide; every later tile must
@@ -176,7 +172,7 @@ def break_symmetry(model: _Model, dom: Domains) -> bool:
 
 def propagate(
     model: _Model,
-    dom: Domains,
+    dom: list[int],
     *,
     symmetry: bool = True,
     incumbent_uspill: int | None = None,

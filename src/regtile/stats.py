@@ -82,26 +82,29 @@ def classify(instance: ProblemInstance) -> InstanceStats:
 
 @dataclass(frozen=True)
 class CorpusConfig:
-    """Ranges for the synthetic instance generator (inclusive bounds)."""
+    """Node and edge count ranges for the instance generator (inclusive)."""
 
     nodes: tuple[int, int] = (3, 5)
     edges: tuple[int, int] = (1, 6)
-    comp: tuple[int, int] = (1, 3)
-    state: tuple[int, int] = (0, 2)
-    reg: tuple[int, int] = (1, 2)
-    limit_slack: tuple[int, int] = (0, 3)
-    unroll: tuple[int, int] = (1, 6)
-    max_width: int = 4
-    ordering_edge_fraction: float = 0.15
-    shared_group_fraction: float = 0.25
-    diagonal_fraction: float = 0.15
+
+
+# Fixed shape of every generated instance (inclusive ranges).
+_COMP = (1, 3)
+_STATE = (0, 2)
+_REG = (1, 2)
+_LIMIT_SLACK = (0, 3)
+_UNROLL = (1, 6)
+_MAX_WIDTH = 4
+_ORDERING_EDGE_FRACTION = 0.15
+_SHARED_GROUP_FRACTION = 0.25
+_DIAGONAL_FRACTION = 0.15
 
 
 def _random_document(rng: random.Random, index: int, cfg: CorpusConfig) -> dict:
     n = rng.randint(*cfg.nodes)
     ids = [f"S{k}" for k in range(n)]
-    comps = [rng.randint(*cfg.comp) for _ in range(n)]
-    states = [rng.randint(*cfg.state) for _ in range(n)]
+    comps = [rng.randint(*_COMP) for _ in range(n)]
+    states = [rng.randint(*_STATE) for _ in range(n)]
 
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     count = min(rng.randint(*cfg.edges), len(pairs))
@@ -110,20 +113,20 @@ def _random_document(rng: random.Random, index: int, cfg: CorpusConfig) -> dict:
     by_src: dict[int, list[int]] = {}
     edges = []
     for k, (i, j) in enumerate(chosen):
-        if rng.random() < cfg.ordering_edge_fraction:
+        if rng.random() < _ORDERING_EDGE_FRACTION:
             reg = 0
         else:
-            reg = rng.randint(*cfg.reg)
+            reg = rng.randint(*_REG)
         variable = f"v{k}"
         # Occasionally reuse an earlier variable from the same source so the
         # edge joins its group (this needs the same reg to stay valid).
-        if reg > 0 and by_src.get(i) and rng.random() < cfg.shared_group_fraction:
+        if reg > 0 and by_src.get(i) and rng.random() < _SHARED_GROUP_FRACTION:
             prev = edges[rng.choice(by_src[i])]
             if prev["reg"] > 0:
                 variable = prev["variable"]
                 reg = prev["reg"]
         distance = 0
-        if rng.random() < cfg.diagonal_fraction:
+        if rng.random() < _DIAGONAL_FRACTION:
             distance = rng.randint(1, 2)
         edges.append(
             {
@@ -137,12 +140,12 @@ def _random_document(rng: random.Random, index: int, cfg: CorpusConfig) -> dict:
         )
         by_src.setdefault(i, []).append(k)
 
-    unroll = rng.randint(*cfg.unroll)
+    unroll = rng.randint(*_UNROLL)
     return {
         "name": f"gen-{index}",
-        "registers": max(comps) + rng.randint(*cfg.limit_slack),
+        "registers": max(comps) + rng.randint(*_LIMIT_SLACK),
         "unroll": unroll,
-        "max_width": rng.randint(1, min(cfg.max_width, unroll)),
+        "max_width": rng.randint(1, min(_MAX_WIDTH, unroll)),
         "nodes": [
             {"id": ids[k], "comp": comps[k], "state": states[k]} for k in range(n)
         ],

@@ -25,9 +25,6 @@ __all__ = [
     "PressureProfile",
     "CostReport",
     "FeasibilityResult",
-    "EdgeCrossings",
-    "node_tile_assignment",
-    "edge_crossings",
     "pressure",
     "feasible",
     "cost",
@@ -224,23 +221,6 @@ class FeasibilityResult:
     violated_point: int | None = None
     reason: str | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class EdgeCrossings:
-    """Points crossed by each edge and by each group.
-
-    An edge crosses point j when its source rank is <= j < its destination
-    rank.  A group crosses j only through members that stay inside one tile
-    and are not spilled: spilled values live in memory across points, so
-    they hold no register there.
-    """
-
-    edge_points: dict[str, frozenset[int]]
-    group_points: dict[str, frozenset[int]]
-
 
 def _check_solution(sol: TilingSolution, graph: DataFlowGraph) -> None:
     if set(sol.order) != set(graph.node_ids):
@@ -253,13 +233,9 @@ def _check_solution(sol: TilingSolution, graph: DataFlowGraph) -> None:
         raise ValueError(f"unknown node ids in spill set: {sorted(unknown)}")
 
 
-def node_tile_assignment(sol: TilingSolution) -> dict[str, int]:
-    """Map each node to the tile owning its rank."""
-    tiles = sol.tile_of_rank
-    return {v: tiles[r] for r, v in enumerate(sol.order)}
-
-
 def _group_cross_masks(sol: TilingSolution, graph: DataFlowGraph) -> dict[str, int]:
+    """Bitmask per group of the points [src rank, dst rank) spanned by its
+    unspilled members inside one tile (a spilled value waits in memory)."""
     rank = sol.rank
     tiles = sol.tile_of_rank
     edge_by_id = graph.edge_by_id
@@ -276,21 +252,6 @@ def _group_cross_masks(sol: TilingSolution, graph: DataFlowGraph) -> dict[str, i
                 mask |= (1 << rd) - (1 << rs)
         masks[g.id] = mask
     return masks
-
-
-def edge_crossings(sol: TilingSolution, graph: DataFlowGraph) -> EdgeCrossings:
-    """Crossed points per edge and per group (see class docstring)."""
-    _check_solution(sol, graph)
-    rank = sol.rank
-    edge_points = {}
-    for e in graph.edges:
-        rs, rd = rank[e.src], rank[e.dst]
-        edge_points[e.id] = frozenset(range(rs, rd)) if rs < rd else frozenset()
-    group_points = {
-        gid: frozenset(_bits(mask))
-        for gid, mask in _group_cross_masks(sol, graph).items()
-    }
-    return EdgeCrossings(edge_points, group_points)
 
 
 def _pressure_points(sol: TilingSolution, graph: DataFlowGraph) -> list[int]:

@@ -72,6 +72,14 @@ def random_pipeline_graph(rng: random.Random, max_nodes: int = 8) -> dfg.RawDepe
         return g
 
 
+def naive_tile_assignment(sol: tiling.TilingSolution) -> dict[str, int]:
+    """Second-route tile membership: the first tile whose point reaches the rank."""
+    return {
+        v: next(t for t, p in enumerate(sol.tile_points) if p >= r)
+        for r, v in enumerate(sol.order)
+    }
+
+
 def random_solution(rng: random.Random, instance: dfg.ProblemInstance) -> tiling.TilingSolution:
     """A structurally valid solution: random topological order, borders,
     widths, and spills (tile-crossing edges always spilled)."""
@@ -102,7 +110,7 @@ def random_solution(rng: random.Random, instance: dfg.ProblemInstance) -> tiling
     widths = tuple(rng.randint(1, instance.max_width) for _ in points)
 
     sol = tiling.TilingSolution(tuple(order), points, widths, frozenset(), frozenset())
-    assign = tiling.node_tile_assignment(sol)
+    assign = naive_tile_assignment(sol)
     espill = {
         e.id
         for e in g.edges
@@ -116,11 +124,11 @@ def naive_pressure(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) ->
     """Second-route pressure: recompute every point from the definition."""
     g = instance.graph
     rank = {v: r for r, v in enumerate(sol.order)}
-    assign = tiling.node_tile_assignment(sol)
+    assign = naive_tile_assignment(sol)
     reserve = sum(nd.state for nd in g.nodes if nd.id not in sol.state_spill)
     out = []
     for j in range(len(sol.order)):
-        tile_j = next(t for t, p in enumerate(sol.tile_points) if p >= j)
+        tile_j = assign[sol.order[j]]
         total = g.node_by_id[sol.order[j]].comp + reserve
         for grp in g.groups:
             crosses = False
@@ -143,7 +151,7 @@ def naive_uspill(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> i
     """Second-route cost: literal formula evaluation."""
     g = instance.graph
     u = instance.unroll
-    assign = tiling.node_tile_assignment(sol)
+    assign = naive_tile_assignment(sol)
     total = sum(g.edge_by_id[eid].reg * u for eid in sol.edge_spill)
     for nd in g.nodes:
         if nd.id in sol.state_spill:

@@ -112,6 +112,24 @@ class TestMisc:
         assert exc.value.code == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--instance", "toy.json", "--seed", "abc"],
+            ["solve"],
+            ["bogus"],
+        ],
+        ids=["bad-int", "missing-instance", "unknown-subcommand"],
+    )
+    def test_usage_errors_are_json(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "usage"
+        assert error["message"]
+        assert error["usage"].startswith("usage: regtile")
+
     def test_oracle_subcommand(self, capsys, toy_files):
         instance_path, _ = toy_files
         code, out, _ = run_cli(
@@ -147,6 +165,15 @@ class TestMisc:
         assert lines[0].startswith("# ")
         assert lines[1] == "instance,name,nodes,scc_count,max_pressure,interesting"
         assert len(lines) == 7
+
+    def test_stats_generate_ranges(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "stats", "--generate", "3,6", "--nodes", "4,4", "--edges", "2,3"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert len(rows) == 6
+        assert all(row[2] == "4" for row in rows)
 
     def test_stats_single_instance(self, capsys, toy_files):
         instance_path, _ = toy_files
@@ -207,6 +234,20 @@ class TestMisc:
         assert unrolls == [1, 2, 3, 4]
         spills = [p["spill_float"] for p in payload["points"]]
         assert all(b <= a + 1e-9 for a, b in zip(spills, spills[1:]))
+
+    @pytest.mark.parametrize(
+        "registers, budget, code, status",
+        [("2", "0", 3, "infeasible"), ("6", "2", 4, "feasible-but-unproven")],
+    )
+    def test_sweep_worst_exit_code(self, capsys, toy_files, registers, budget, code, status):
+        instance_path, _ = toy_files
+        got, out, _ = run_cli(
+            capsys,
+            "sweep", "--instance", str(instance_path), "--registers", registers,
+            "--unroll", "1..2", "--node-budget", budget,
+        )
+        assert got == code
+        assert status in [p["status"] for p in json.loads(out)["points"]]
 
     def test_out_file(self, capsys, tmp_path, toy_files):
         instance_path, solution_path = toy_files
@@ -285,6 +326,19 @@ ERROR_CASES = {
     "stats-negative-edges": (
         ["stats", "--generate", "1,3", "--edges=-2,1"], {}, 2, "validation"
     ),
+    "out-missing-directory": (
+        ["solve", "--instance", "{toy}", "--out", "{missing_dir}"], {}, 2, "validation"
+    ),
+    "instance-nested-deep": (["solve", "--instance", "{deep}"], {}, 2, "validation"),
+    "solution-nested-deep": (
+        ["cost", "--instance", "{toy}", "--solution", "{deep}"], {}, 2, "validation"
+    ),
+    "solution-unreadable": (
+        ["codegen", "--instance", "{toy}", "--solution", "{missing}"], {}, 2, "validation"
+    ),
+    "solution-unknown-node": (
+        ["cost", "--instance", "{toy}", "--solution", "{sol_unknown_node}"], {}, 2, "validation"
+    ),
     "sweep-bad-span": (
         ["sweep", "--instance", "{toy}", "--unroll", "1-4"], {}, 2, "validation"
     ),
@@ -306,9 +360,14 @@ def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
         "sol_str": _doc_with(PAPER_TILING, spill_edges="ae"),
         "sol_float_point": _doc_with(PAPER_TILING, tile_points=[0, 1.0, 3]),
         "sol_float_width": _doc_with(PAPER_TILING, tile_widths=[6.0, 6, 3]),
+        "sol_unknown_node": _doc_with(PAPER_TILING, order=["S0", "S2", "S1", "S9"]),
         "broken": "{broken",
+        "deep": "[" * 100_000,
     }
-    paths = {"missing": str(tmp_path / "missing.json")}
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "missing_dir": str(tmp_path / "missing" / "out.json"),
+    }
     for name, text in files.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)

@@ -79,6 +79,18 @@ class TestGenerate:
     def test_def_before_use_everywhere(self, paper_program):
         assert codegen.verify_def_before_use(paper_program) == []
 
+    def test_forced_non_topological_order_uses_undefined_values(self, toy_instance_limit6):
+        # S1 runs before S0 defines a; the unspilled edge is never loaded.
+        sol = tiling.TilingSolution(
+            ("S1", "S0", "S2", "S3"), (3,), (1,), frozenset(), frozenset()
+        )
+        with pytest.raises(codegen.InfeasibleScheduleError, match="order violates"):
+            codegen.generate(sol, toy_instance_limit6)
+        prog = codegen.generate(sol, toy_instance_limit6, force=True)
+        problems = codegen.verify_def_before_use(prog)
+        assert len(problems) == 6
+        assert problems[0] == "op 0: EXEC S1 uses undefined a@col0"
+
     def test_unspilled_state_is_live_in(self, toy_doc):
         inst = dfg.instance_from_document(toy_doc, registers=16, unroll=2, max_width=2)
         sol = tiling.TilingSolution(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from regtile import dfg, solver
+from regtile import dfg, solver, tiling
 
 from .helpers import random_pipeline_graph, random_raw_graph, reachability_scc_count
 from .conftest import toy_document
@@ -81,12 +81,28 @@ class TestIngest:
                 ),
                 "duplicate edge id 'a'",
             ),
+            (lambda d: d.pop("registers"), "missing required key 'registers'"),
+            (lambda d: d.update(unroll="6"), "'unroll' must be int"),
+            (lambda d: d["nodes"][0].update(comp=True), "'comp' must be int"),
+            (lambda d: d["nodes"].append(["S9", 1]), "node entry must be an object"),
+            (lambda d: d["edges"].append("x"), "edge entry must be an object"),
+            (lambda d: d["self_edges"].append(None), "self_edge entry must be an object"),
+            (lambda d: d.update(name=7), "'name' must be a string"),
+            (lambda d: d["edges"][0].update(variable=1), "'variable' must be a string"),
+            (lambda d: d["nodes"][0].update(state=-1), "negative state"),
+            (lambda d: d["self_edges"][0].update(distance=0), "distance must be >= 1"),
+            (lambda d: d.update(registers=-1), "registers must be >= 0"),
         ],
     )
     def test_validation_failures(self, mutate, message):
         doc = toy_document()
         mutate(doc)
         with pytest.raises(dfg.InstanceError, match=message):
+            dfg.instance_from_document(doc)
+
+    @pytest.mark.parametrize("doc", [[], "toy", 3, None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(dfg.InstanceError, match="must be a JSON object"):
             dfg.instance_from_document(doc)
 
     def test_normalized_form_cycle_rejected(self):
@@ -165,6 +181,39 @@ class TestIngest:
         inst = dfg.instance_from_document(doc)
         assert len(inst.graph.groups) == 1
         assert set(inst.graph.groups[0].members) == {"x", "y"}
+
+    @pytest.mark.parametrize("reg", [1, 2])
+    def test_edge_named_like_a_group_stands_alone(self, reg):
+        # "A/t" is also the made-up name of A's group carrying t.
+        doc = {
+            "name": "group-name", "registers": 8, "unroll": 1,
+            "nodes": [{"id": "A", "comp": 1}, {"id": "B", "comp": 1}, {"id": "C", "comp": 1}],
+            "edges": [
+                {"id": "x", "src": "A", "dst": "C", "reg": 1, "variable": "t"},
+                {"id": "A/t", "src": "B", "dst": "C", "reg": reg},
+            ],
+        }
+        inst = dfg.instance_from_document(doc)
+        groups = [(g.id, g.members, g.reg) for g in inst.graph.groups]
+        assert groups == [("A/t'", ("x",), 1), ("A/t", ("A/t",), reg)]
+        assert [e.group for e in inst.graph.edges] == ["A/t'", "A/t"]
+        # Both values are live after B: comp 1 plus one group each.
+        sol = tiling.TilingSolution(("A", "B", "C"), (2,), (1,), frozenset(), frozenset())
+        assert tiling.pressure(sol, inst).points == (2, 2 + reg, 1)
+
+    def test_group_names_from_different_sources_stay_apart(self):
+        # Source "A" with variable "x/y" and source "A/x" with variable "y".
+        doc = {
+            "name": "group-name", "registers": 8, "unroll": 1,
+            "nodes": [{"id": "A", "comp": 1}, {"id": "A/x", "comp": 1}, {"id": "C", "comp": 1}],
+            "edges": [
+                {"id": "p", "src": "A", "dst": "C", "reg": 1, "variable": "x/y"},
+                {"id": "q", "src": "A/x", "dst": "C", "reg": 2, "variable": "y"},
+            ],
+        }
+        inst = dfg.instance_from_document(doc)
+        groups = [(g.id, g.members, g.reg) for g in inst.graph.groups]
+        assert groups == [("A/x/y", ("p",), 1), ("A/x/y'", ("q",), 2)]
 
     def test_cli_style_overrides(self, toy_doc):
         inst = dfg.instance_from_document(toy_doc, registers=6, unroll=12, max_width=4)

@@ -5,7 +5,7 @@ import pytest
 
 from regtile import dfg, stats, tiling
 
-from .helpers import naive_pressure, naive_uspill, random_solution
+from .helpers import naive_pressure, naive_tile_assignment, naive_uspill, random_solution
 
 
 def _toy_one_tile(order, espill=(), sspill=("S0", "S1", "S2")):
@@ -34,6 +34,34 @@ class TestSolutionStructure:
     def test_structural_validation(self, points, widths, message):
         with pytest.raises(ValueError, match=message):
             tiling.TilingSolution(("A", "B"), points, widths, frozenset(), frozenset())
+
+    def test_duplicate_order_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            tiling.TilingSolution(("A", "A"), (1,), (1,), frozenset(), frozenset())
+
+    @pytest.mark.parametrize("key", ["order", "tile_points", "tile_widths"])
+    def test_from_json_dict_requires_key(self, paper_tiling, key):
+        doc = paper_tiling.to_json_dict()
+        del doc[key]
+        with pytest.raises(ValueError, match=f"missing '{key}'"):
+            tiling.TilingSolution.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"order": ["S0", "S2", "S1", "S9"]}, "not a permutation"),
+            ({"order": ["S0", "S2", "S1"], "tile_points": [2]}, "not a permutation"),
+            ({"spill_edges": ["a", "zz"]}, r"unknown edge ids in spill set: \['zz'\]"),
+            ({"spill_states": ["S0", "S9"]}, r"unknown node ids in spill set: \['S9'\]"),
+        ],
+        ids=["unknown-node", "missing-node", "unknown-edge", "unknown-state"],
+    )
+    def test_solution_must_match_instance(self, toy_instance, change, message):
+        doc = {**_toy_one_tile(("S0", "S2", "S1", "S3")).to_json_dict(), **change}
+        sol = tiling.TilingSolution.from_json_dict(doc)
+        for evaluate in (tiling.pressure, tiling.feasible, tiling.cost):
+            with pytest.raises(ValueError, match=message):
+                evaluate(sol, toy_instance)
 
     def test_json_round_trip(self, paper_tiling):
         doc = paper_tiling.to_json_dict()
@@ -66,6 +94,13 @@ class TestSolutionStructure:
             tiling.TilingSolution.from_json_dict(doc)
 
 
+def _tile_assignment(sol):
+    """Node -> tile from ``tile_of_rank``, checked against the second route."""
+    got = dict(zip(sol.order, sol.tile_of_rank))
+    assert got == naive_tile_assignment(sol)
+    return got
+
+
 class TestNodeTileAssignment:
     def test_toy_with_trailing_empty_tiles(self):
         sol = tiling.TilingSolution(
@@ -75,7 +110,7 @@ class TestNodeTileAssignment:
             frozenset(),
             frozenset(),
         )
-        assert tiling.node_tile_assignment(sol) == {
+        assert _tile_assignment(sol) == {
             "S0": 0,
             "S2": 1,
             "S1": 2,
@@ -84,33 +119,13 @@ class TestNodeTileAssignment:
 
     def test_single_node(self):
         sol = tiling.TilingSolution(("A",), (0,), (1,), frozenset(), frozenset())
-        assert tiling.node_tile_assignment(sol) == {"A": 0}
+        assert _tile_assignment(sol) == {"A": 0}
 
     def test_chain_in_one_tile(self):
         sol = tiling.TilingSolution(
             ("A", "B", "C"), (2, 2, 2), (1, 1, 1), frozenset(), frozenset()
         )
-        assert tiling.node_tile_assignment(sol) == {"A": 0, "B": 0, "C": 0}
-
-
-class TestEdgeCrossings:
-    def test_toy_original_order(self, toy_instance):
-        sol = _toy_one_tile(("S0", "S1", "S2", "S3"))
-        crossings = tiling.edge_crossings(sol, toy_instance.graph)
-        assert crossings.edge_points["c"] == frozenset({1, 2})
-        assert crossings.edge_points["a"] == frozenset({0})
-        assert crossings.edge_points["d"] == frozenset({0, 1})
-
-    def test_adjacent_ranks_cross_one_point(self, toy_instance):
-        sol = _toy_one_tile(("S0", "S1", "S2", "S3"))
-        crossings = tiling.edge_crossings(sol, toy_instance.graph)
-        assert crossings.edge_points["a"] == frozenset({0})
-
-    def test_spilled_internal_edge_leaves_group(self, toy_instance):
-        sol = _toy_one_tile(("S0", "S1", "S2", "S3"), espill=("c",))
-        crossings = tiling.edge_crossings(sol, toy_instance.graph)
-        assert crossings.group_points["S1/c"] == frozenset()
-        assert crossings.group_points["S0/a"] == frozenset({0})
+        assert _tile_assignment(sol) == {"A": 0, "B": 0, "C": 0}
 
 
 class TestPressure:
