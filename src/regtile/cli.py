@@ -64,8 +64,22 @@ def _load_solution(path: str) -> tiling.TilingSolution:
         raise dfg.InstanceError(f"invalid solution document {path}: {exc}") from exc
 
 
+def _check_out(path: str | None) -> None:
+    """Reject an ``--out`` that cannot be created before any work runs."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise dfg.InstanceError(f"cannot write {path}: {folder} is not a directory")
+    if os.path.isdir(path):
+        raise dfg.InstanceError(f"cannot write {path}: it is a directory")
+
+
 def _write(args, text: str) -> None:
-    """Write ``text`` to ``--out`` if given, else to stdout."""
+    """Write ``text`` to ``--out`` if given, else to stdout.
+
+    ``main`` has checked the path; permission errors and races remain.
+    """
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -378,6 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        _check_out(args.out)
         return args.func(args, started)
     except oracle.InstanceTooLargeError as exc:
         _error("instance-too-large", str(exc))

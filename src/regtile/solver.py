@@ -6,9 +6,12 @@ border points, tile widths, edge and state spill flags), constraint
 propagation on bitmask domains, empty-tiles-last symmetry breaking, and an
 admissible spill lower bound for pruning against the incumbent.  Every leaf
 is validated and scored with the tiling evaluators, so the search can only
-ever return what the model itself accepts.  Spill flags are branched on
-only once the geometry (ranks, points, widths) is fixed, which is why
-propagation needs no pressure failure test (see ``propagate``).
+ever return what the model itself accepts.  Widths are branched on only
+once every border point is fixed, and spill flags only once the geometry
+(ranks, points, widths) is fixed, which is why propagation needs no width
+or pressure failure test.  Only the two rank rules feed each other, so
+only they are iterated to a fixpoint; every other rule runs once per node
+(see ``propagate``).
 """
 
 from __future__ import annotations
@@ -177,23 +180,29 @@ def propagate(
     symmetry: bool = True,
     incumbent_uspill: int | None = None,
 ) -> bool:
-    """Prune domains to a fixpoint; False signals a dead branch.
+    """Prune domains; False signals a dead branch.
 
-    Rules: precedence bounds plus forward-checking for the rank
-    alldifferent, the non-decreasing border chain, empty-tiles-last symmetry
-    breaking, width canonicalization of known-empty tiles, forced spills of
-    edges whose endpoints must straddle a border, and, on an admissible
-    per-point pressure lower bound ``press_lb``, forced spills of states and
-    edges whose keep would overflow a point.  With an incumbent cost,
+    Only the rank rules loop to a fixpoint: precedence bounds and
+    forward-checking for the rank alldifferent read what each other write,
+    and each pass checks that every rank keeps a node.  No later rule
+    changes what an earlier one read, so each of the others runs once: the
+    non-decreasing border chain (one sweep each way), empty-tiles-last
+    symmetry breaking, width canonicalization of known-empty tiles, forced
+    spills of edges that must straddle a border, and forced spills of
+    states and edges whose keep would overflow a point on the admissible
+    pressure lower bound ``press_lb``.  That bound counts only kept flags,
+    so the spills it forces leave it unchanged.  With an incumbent cost,
     branches whose spill lower bound reaches it are abandoned.
 
-    ``press_lb`` never exceeds the limit, so no rule fails on it or prunes
-    widths.  A spill flag sits in one constraint (score at most 1) and has a
-    higher index than every rank, point and width, so ``_select_variable``
-    picks no flag while one of those is undecided.  Propagation forces
-    spills, never keeps, so until then ``press_lb`` is the minimum comp,
-    at most ``max_comp`` <= limit.  After it, the forcing rules check every
-    keep exactly before it is branched on.
+    The search keeps the invariants that make other failure tests
+    unnecessary.  Domains enter non-empty, and the border chain enters at
+    its fixpoint but for one branching step.  A constraint holding a width
+    holds every point, so ``_select_variable`` decides every point before
+    any width, and an empty tile's width is pinned to 1 first.  A spill
+    flag sits in one constraint and has a higher index than every rank,
+    point and width, so flags are branched on last.  Until then
+    ``press_lb`` is the minimum comp, at most ``max_comp`` <= limit; after
+    it, every straddling edge is spilled and every keep is checked exactly.
     """
     n = model.n
     if n == 0:
@@ -212,8 +221,6 @@ def propagate(
 
         for si, di in model.order_pairs:
             ds, dd = dom[si], dom[di]
-            if not ds or not dd:
-                return False
             nd = dd & ~((2 << ((ds & -ds).bit_length() - 1)) - 1)
             if nd != dd:
                 if not nd:
@@ -223,8 +230,6 @@ def propagate(
                 dd = nd
             ns = ds & ((1 << (dd.bit_length() - 1)) - 1)
             if ns != ds:
-                if not ns:
-                    return False
                 dom[si] = ns
                 changed = True
 
@@ -242,118 +247,91 @@ def propagate(
         if union != full:
             return False
 
-        for t in range(1, n):
-            prev = dom[p0 + t - 1]
-            nd = dom[p0 + t] & ~((prev & -prev) - 1)
-            if nd != dom[p0 + t]:
-                if not nd:
-                    return False
-                dom[p0 + t] = nd
-                changed = True
-        for t in range(n - 2, -1, -1):
-            nd = dom[p0 + t] & ((1 << dom[p0 + t + 1].bit_length()) - 1)
-            if nd != dom[p0 + t]:
-                if not nd:
-                    return False
-                dom[p0 + t] = nd
-                changed = True
+    for t in range(1, n):
+        prev = dom[p0 + t - 1]
+        dom[p0 + t] &= ~((prev & -prev) - 1)
+    for t in range(n - 2, -1, -1):
+        dom[p0 + t] &= (1 << dom[p0 + t + 1].bit_length()) - 1
 
-        if symmetry and not break_symmetry(model, dom):
-            return False
+    if symmetry and not break_symmetry(model, dom):
+        return False
 
-        for t in range(1, n):
-            a = dom[p0 + t - 1]
-            if a == dom[p0 + t] and not a & (a - 1) and dom[w0 + t] != 0b10:
-                if not dom[w0 + t] & 0b10:
-                    return False
-                dom[w0 + t] = 0b10
-                changed = True
+    for t in range(1, n):
+        a = dom[p0 + t - 1]
+        if a == dom[p0 + t] and not a & (a - 1):
+            dom[w0 + t] = 0b10
 
-        # Tile interval of each rank from the (monotone) point bounds.
-        p_lo = [(dom[p0 + t] & -dom[p0 + t]).bit_length() - 1 for t in range(n)]
-        p_hi = [dom[p0 + t].bit_length() - 1 for t in range(n)]
-        tile_lo_of_rank = _tile_of_rank(p_hi, n)
-        tile_hi_of_rank = _tile_of_rank(p_lo, n)
+    # Tile interval of each rank from the (monotone) point bounds.
+    p_lo = [(dom[p0 + t] & -dom[p0 + t]).bit_length() - 1 for t in range(n)]
+    p_hi = [dom[p0 + t].bit_length() - 1 for t in range(n)]
+    tile_lo_of_rank = _tile_of_rank(p_hi, n)
+    tile_hi_of_rank = _tile_of_rank(p_lo, n)
 
-        for k, (si, di, _reg, _eid) in enumerate(edges):
-            hi_s = tile_hi_of_rank[dom[si].bit_length() - 1]
-            lo_d = tile_lo_of_rank[(dom[di] & -dom[di]).bit_length() - 1]
-            if hi_s < lo_d and dom[e0 + k] & 0b01:
-                if not dom[e0 + k] & 0b10:
-                    return False
-                dom[e0 + k] = 0b10
-                changed = True
+    for k, (si, di, _reg, _eid) in enumerate(edges):
+        hi_s = tile_hi_of_rank[dom[si].bit_length() - 1]
+        lo_d = tile_lo_of_rank[(dom[di] & -dom[di]).bit_length() - 1]
+        if hi_s < lo_d:
+            dom[e0 + k] = 0b10
 
-        # Pressure rules on the admissible per-point lower bound.
-        reserve_min = 0
-        for i in range(n):
-            if dom[s0 + i] == 0b01:
-                reserve_min += state[i]
+    # Pressure rules on the admissible per-point lower bound.
+    reserve_min = 0
+    for i in range(n):
+        if dom[s0 + i] == 0b01:
+            reserve_min += state[i]
 
-        comp_min = [0] * n
-        for j in range(n):
-            bit = 1 << j
-            best = -1
-            for i in range(n):
-                if dom[i] & bit:
-                    c = comp[i]
-                    if best < 0 or c < best:
-                        best = c
-            comp_min[j] = best if best >= 0 else 0
+    # After the union check every rank has a candidate node.
+    comp_min = [min(comp[i] for i in range(n) if dom[i] >> j & 1) for j in range(n)]
 
-        width_lo = [(dom[w0 + t] & -dom[w0 + t]).bit_length() - 1 for t in range(n)]
-        wmin_at = [0] * n
-        for j in range(n):
-            wmin_at[j] = min(
-                width_lo[t] for t in range(tile_lo_of_rank[j], tile_hi_of_rank[j] + 1)
-            )
+    width_lo = [(dom[w0 + t] & -dom[w0 + t]).bit_length() - 1 for t in range(n)]
+    wmin_at = [0] * n
+    for j in range(n):
+        wmin_at[j] = min(
+            width_lo[t] for t in range(tile_lo_of_rank[j], tile_hi_of_rank[j] + 1)
+        )
 
-        forced_cross = [0] * len(groups)
-        for gi, (_reg, members) in enumerate(groups):
-            mask = 0
-            for k in members:
-                if dom[e0 + k] != 0b01:
-                    continue
-                si, di, _r, _eid = edges[k]
-                lo = dom[si].bit_length() - 1
-                hi = (dom[di] & -dom[di]).bit_length() - 1
-                if lo < hi:
-                    mask |= (1 << hi) - (1 << lo)
-            forced_cross[gi] = mask
-
-        # Never above the limit (see the docstring), so no failure test here.
-        press_lb = [0] * n
-        for j in range(n):
-            press = comp_min[j] + reserve_min
-            bit = 1 << j
-            for gi, (reg, _members) in enumerate(groups):
-                if forced_cross[gi] & bit:
-                    press += reg * wmin_at[j]
-            press_lb[j] = press
-
-        # A state whose keep would overflow some point must spill.
-        for i in range(n):
-            if dom[s0 + i] == 0b11:
-                si_state = state[i]
-                if any(press_lb[j] + si_state > limit for j in range(n)):
-                    dom[s0 + i] = 0b10
-                    changed = True
-
-        # An edge whose keep entails a new crossing that overflows must spill.
-        for k, (si, di, reg, _eid) in enumerate(edges):
-            if dom[e0 + k] != 0b11 or reg == 0:
+    forced_cross = [0] * len(groups)
+    for gi, (_reg, members) in enumerate(groups):
+        mask = 0
+        for k in members:
+            if dom[e0 + k] != 0b01:
                 continue
+            si, di, _r, _eid = edges[k]
             lo = dom[si].bit_length() - 1
             hi = (dom[di] & -dom[di]).bit_length() - 1
-            if lo >= hi:
-                continue
-            gi = model.group_of_edge[k]
-            extra = ((1 << hi) - (1 << lo)) & ~forced_cross[gi]
-            for j in _bits(extra):
-                if press_lb[j] + reg * wmin_at[j] > limit:
-                    dom[e0 + k] = 0b10
-                    changed = True
-                    break
+            if lo < hi:
+                mask |= (1 << hi) - (1 << lo)
+        forced_cross[gi] = mask
+
+    # Never above the limit (see the docstring), so no failure test here.
+    press_lb = [0] * n
+    for j in range(n):
+        press = comp_min[j] + reserve_min
+        bit = 1 << j
+        for gi, (reg, _members) in enumerate(groups):
+            if forced_cross[gi] & bit:
+                press += reg * wmin_at[j]
+        press_lb[j] = press
+
+    # A state whose keep would overflow some point must spill.
+    press_max = max(press_lb)
+    for i in range(n):
+        if dom[s0 + i] == 0b11 and press_max + state[i] > limit:
+            dom[s0 + i] = 0b10
+
+    # An edge whose keep entails a new crossing that overflows must spill.
+    for k, (si, di, reg, _eid) in enumerate(edges):
+        if dom[e0 + k] != 0b11 or reg == 0:
+            continue
+        lo = dom[si].bit_length() - 1
+        hi = (dom[di] & -dom[di]).bit_length() - 1
+        if lo >= hi:
+            continue
+        gi = model.group_of_edge[k]
+        extra = ((1 << hi) - (1 << lo)) & ~forced_cross[gi]
+        for j in _bits(extra):
+            if press_lb[j] + reg * wmin_at[j] > limit:
+                dom[e0 + k] = 0b10
+                break
 
     if incumbent_uspill is not None:
         bound = _cost_lower_bound(model, dom, tile_lo_of_rank, tile_hi_of_rank, press_lb)

@@ -29,13 +29,13 @@ __all__ = [
 class InstanceStats:
     name: str
     nodes: int
-    scc_count: int
     max_pressure: int
     interesting: bool
 
     def csv_row(self, index: int) -> str:
+        # Ingest condensed the SCCs, so the node count is the SCC count.
         return (
-            f"{index},{self.name},{self.nodes},{self.scc_count},"
+            f"{index},{self.name},{self.nodes},{self.nodes},"
             f"{self.max_pressure},{str(self.interesting).lower()}"
         )
 
@@ -63,7 +63,7 @@ def original_pressure(g: DataFlowGraph) -> int:
 
 
 def classify(instance: ProblemInstance) -> InstanceStats:
-    """Bundle SCC count and original-schedule pressure for one instance.
+    """Bundle node count and original-schedule pressure for one instance.
 
     A loop is interesting when its unspilled pressure exceeds the register
     limit, because only then can rescheduling or tiling improve reuse.
@@ -72,11 +72,7 @@ def classify(instance: ProblemInstance) -> InstanceStats:
     """
     press = original_pressure(instance.graph)
     return InstanceStats(
-        instance.name,
-        len(instance.graph.nodes),
-        len(instance.graph.nodes),
-        press,
-        press > instance.limit,
+        instance.name, len(instance.graph.nodes), press, press > instance.limit
     )
 
 

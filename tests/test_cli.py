@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from regtile import cli
+from regtile import cli, solver
 
 from .conftest import PAPER_TILING
 
@@ -329,6 +329,21 @@ ERROR_CASES = {
     "out-missing-directory": (
         ["solve", "--instance", "{toy}", "--out", "{missing_dir}"], {}, 2, "validation"
     ),
+    "out-under-a-file": (
+        ["solve", "--instance", "{toy}", "--out", "{toy}/out.json"], {}, 2, "validation"
+    ),
+    "out-is-a-directory": (
+        ["stats", "--generate", "1,3", "--out", "{tmp}"], {}, 2, "validation"
+    ),
+    "stats-nodes-not-a-range": (
+        ["stats", "--generate", "1,3", "--nodes", "4"], {}, 2, "validation"
+    ),
+    "stats-nodes-empty-range": (
+        ["stats", "--generate", "1,3", "--nodes", "5,4"], {}, 2, "validation"
+    ),
+    "codegen-unknown-node": (
+        ["codegen", "--instance", "{toy}", "--solution", "{sol_unknown_node}"], {}, 2, "validation"
+    ),
     "instance-nested-deep": (["solve", "--instance", "{deep}"], {}, 2, "validation"),
     "solution-nested-deep": (
         ["cost", "--instance", "{toy}", "--solution", "{deep}"], {}, 2, "validation"
@@ -365,6 +380,7 @@ def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
         "deep": "[" * 100_000,
     }
     paths = {
+        "tmp": str(tmp_path),
         "missing": str(tmp_path / "missing.json"),
         "missing_dir": str(tmp_path / "missing" / "out.json"),
     }
@@ -373,6 +389,8 @@ def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
         path.write_text(text)
         paths[name] = str(path)
     monkeypatch.delenv(cli.TIME_BUDGET_ENV, raising=False)
+    # Every error is found before a search could waste its budget.
+    monkeypatch.setattr(solver, "solve", lambda *a, **k: pytest.fail("solve ran"))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     got, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))

@@ -164,6 +164,27 @@ class TestAssignRegisters:
         assigned = codegen.assign_registers(codegen.generate(sol, inst), 1)
         assert assigned.overflow == ()
 
+    def test_parallel_spilled_edges_reload_into_one_register(self):
+        # Two edges of one group feed the same consumer: each spilled edge
+        # reloads the value, and the second LOAD reuses the first's register.
+        doc = {
+            "name": "parallel",
+            "registers": 1,
+            "unroll": 1,
+            "nodes": [{"id": "A", "comp": 1}, {"id": "B", "comp": 1}],
+            "edges": [
+                {"id": "x", "src": "A", "dst": "B", "reg": 1, "variable": "t"},
+                {"id": "y", "src": "A", "dst": "B", "reg": 1, "variable": "t"},
+            ],
+        }
+        inst = dfg.instance_from_document(doc)
+        sol = tiling.TilingSolution(("A", "B"), (1,), (1,), frozenset({"x", "y"}), frozenset())
+        assigned = codegen.assign_registers(codegen.generate(sol, inst), inst.limit)
+        loads = [op for op in assigned.ops if isinstance(op, codegen.LoadOp)]
+        assert [op.value for op in loads] == ["t@col0", "t@col0"]
+        assert loads[0].reg == loads[1].reg
+        assert assigned.overflow == ()
+
     def test_reserve_registers_stay_put(self, toy_doc):
         inst = dfg.instance_from_document(toy_doc, registers=16, unroll=2, max_width=2)
         sol = tiling.TilingSolution(

@@ -42,6 +42,13 @@ class TestBruteForce:
         assert res.witness.state_spill == {"A"}
         assert res.witness.tile_widths == (4,)
 
+    def test_stateless_node_has_nothing_to_spill(self):
+        inst = _single_node_instance(unroll=3, max_width=3, nodes=[{"id": "A", "comp": 1}])
+        res = oracle.brute_force(inst)
+        assert res.uspill == 0
+        # The all-spill seed plus one tiling per width.
+        assert res.candidates == 4
+
     def test_instance_too_large(self):
         doc = {
             "name": "big",

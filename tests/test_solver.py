@@ -172,22 +172,40 @@ class TestSearchIdentity:
         assert sum(oracle.brute_force(inst).candidates for inst in corpus) == 94_436
 
     def test_no_spill_flag_chosen_before_geometry(self, monkeypatch):
-        # The invariant that makes a pressure failure test unnecessary in
-        # propagate: spill flags are branched on only once every rank,
-        # point and width is decided.
-        real = solver._select_variable
+        # The invariants that make failure tests unnecessary in propagate:
+        # spill flags are branched on only once every rank, point and width
+        # is decided (no pressure failure), widths only once every point is
+        # decided (no empty-tile width failure), and no domain is empty on
+        # entry or after a propagation that succeeds (no emptiness tests
+        # before narrowing or in the border chain).
+        real_select, real_propagate = solver._select_variable, solver.propagate
         choices = []
+        width_choices = []
+        nonempty = []
+
+        def decided(doms):
+            return all(d & (d - 1) == 0 for d in doms)
 
         def checked(model, dom):
-            var = real(model, dom)
+            var = real_select(model, dom)
             if var is not None and var >= model.espill0:
-                geometry = dom[: model.espill0]
-                choices.append(all(d & (d - 1) == 0 for d in geometry))
+                choices.append(decided(dom[: model.espill0]))
+            elif var is not None and var >= model.width0:
+                width_choices.append(decided(dom[model.point0 : model.width0]))
             return var
 
+        def checked_propagate(model, dom, **kwargs):
+            nonempty.append(all(dom))
+            ok = real_propagate(model, dom, **kwargs)
+            nonempty.append(not ok or all(dom))
+            return ok
+
         monkeypatch.setattr(solver, "_select_variable", checked)
+        monkeypatch.setattr(solver, "propagate", checked_propagate)
         instances = [dfg.instance_from_document(toy_document(), registers=6)]
         instances += stats.generate_corpus(42, 200)[:20]
         for inst in instances:
             solver.solve(inst)
         assert choices and all(choices)
+        assert width_choices and all(width_choices)
+        assert nonempty and all(nonempty)

@@ -62,7 +62,7 @@ class TestClassify:
         row = stats.classify(toy_instance)
         assert row.interesting
         assert row.max_pressure == 10
-        assert row.scc_count == 4
+        assert row.csv_row(0) == "0,toy,4,4,10,true"
 
     def test_toy_limit_sixteen_not_interesting(self, toy_doc):
         inst = dfg.instance_from_document(toy_doc, registers=16)
