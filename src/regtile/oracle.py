@@ -2,9 +2,15 @@
 
 Enumerates every tiling in the model's search space - topological orders,
 border placements, width vectors, and spill subsets consistent with forced
-spills - and scores each candidate with the tiling evaluators themselves,
-so the ground truth cannot drift from the model semantics.  Exponential by
-nature; refuses instances beyond a small node cap.
+spills - cheapest first.  Each candidate is screened on the instance's
+compiled form (``tiling.CompiledInstance``, the same pressure definition
+the public evaluators use), with its spans, per-rank widths and crossing
+registers reused across the candidates that share them; only a candidate
+that fits the register limit becomes a ``TilingSolution``, and every new
+incumbent is re-checked by the reference ``tiling.feasible`` and
+``tiling.cost``, so the ground truth cannot drift from the model
+semantics.  The oracle shares the evaluator, never the solver's search.
+Exponential by nature; refuses instances beyond a small node cap.
 """
 
 from __future__ import annotations
@@ -16,7 +22,14 @@ from itertools import product
 
 from . import tiling
 from .dfg import ProblemInstance
-from .tiling import CostReport, TilingSolution, _isolated_clusters, _state_charge, _tile_of_rank
+from .tiling import (
+    CompiledInstance,
+    CostReport,
+    TilingSolution,
+    _isolated_clusters,
+    _state_charge,
+    _tile_of_rank,
+)
 
 __all__ = [
     "OracleResult",
@@ -71,28 +84,36 @@ def _topological_orders(node_ids, edges):
 
 
 def _subsets_by_cost(costs: list[int]):
-    """Yield (total, chosen-index-tuple) over all subsets, cheapest first.
+    """Yield (total, chosen-bitmask) over all subsets, cheapest first; bit
+    i of the mask chooses item i.
 
     Standard lazy enumeration: items sorted ascending; a heap state extends
     with the next item or swaps its last item for the next, which reaches
-    every subset exactly once in non-decreasing total order.
+    every subset exactly once in non-decreasing total order (equal totals
+    in lexicographic order of their sorted-position tuples).
     """
     order = sorted(range(len(costs)), key=lambda i: (costs[i], i))
     sorted_costs = [costs[i] for i in order]
+    bit = [1 << i for i in order]
     k = len(order)
-    yield 0, ()
+    yield 0, 0
     if not k:
         return
-    heap = [(sorted_costs[0], (0,))]
+    heap = [(sorted_costs[0], (0,), bit[0])]
     while heap:
-        total, chosen = heapq.heappop(heap)
-        yield total, tuple(order[i] for i in chosen)
+        total, chosen, mask = heapq.heappop(heap)
+        yield total, mask
         last = chosen[-1]
-        if last + 1 < k:
-            heapq.heappush(heap, (total + sorted_costs[last + 1], chosen + (last + 1,)))
+        nxt = last + 1
+        if nxt < k:
+            heapq.heappush(heap, (total + sorted_costs[nxt], chosen + (nxt,), mask | bit[nxt]))
             heapq.heappush(
                 heap,
-                (total - sorted_costs[last] + sorted_costs[last + 1], chosen[:-1] + (last + 1,)),
+                (
+                    total - sorted_costs[last] + sorted_costs[nxt],
+                    chosen[:-1] + (nxt,),
+                    mask ^ bit[last] ^ bit[nxt],
+                ),
             )
 
 
@@ -116,14 +137,18 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
 
     u = instance.unroll
     mw = instance.max_width
-    edges = graph.edges
-    state_nodes = [nd for nd in graph.nodes if nd.state > 0]
+    limit = instance.limit
+    c = CompiledInstance.of(instance)
+    edge_ids = [e.id for e in graph.edges]
+    edge_reg = c.edge_reg
+    node_ids = graph.node_ids
+    state_nodes = [i for i, s in enumerate(c.state) if s > 0]
 
     # Pinning each cluster of interchangeable isolated nodes to
     # ascending-id order drops only relabelings, and the relabeling with
     # ascending ids always has the lexicographically smallest serialization,
     # so the reported optimum and tie-break are unchanged.
-    order_arcs = [(e.src, e.dst) for e in edges]
+    order_arcs = [(e.src, e.dst) for e in graph.edges]
     for members in _isolated_clusters(graph):
         members.sort()
         order_arcs.extend(zip(members, members[1:]))
@@ -132,61 +157,79 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
     # space; starting from it lets the cost bound prune from the first
     # geometry without affecting the optimum or the tie-break.
     seed = tiling.all_spill_solution(instance)
-    assert tiling.feasible(seed, instance).ok
+    if not tiling.feasible(seed, instance).ok:
+        raise RuntimeError(
+            "the all-spill tiling is infeasible although the limit covers every comp"
+        )
     best_rep = tiling.cost(seed, instance)
     best_key = tiling.canonical_key(seed)
     best = seed
     candidates = 1
 
-    for order in _topological_orders(graph.node_ids, order_arcs):
-        rank = {v: r for r, v in enumerate(order)}
-        cross_mask = []
-        for e in edges:
-            rs, rd = rank[e.src], rank[e.dst]
-            cross_mask.append((1 << rd) - (1 << rs))
+    # Reserve left by each subset of ``state_nodes`` spilled (bit k spills
+    # ``state_nodes[k]``).
+    reserve_of = [
+        c.total_state - sum(c.state[v] for k, v in enumerate(state_nodes) if spilled >> k & 1)
+        for spilled in range(1 << len(state_nodes))
+    ]
+
+    for order in _topological_orders(node_ids, order_arcs):
+        rank = [0] * n
+        for r, v in enumerate(order):
+            rank[c.node_index[v]] = r
+        comp_at = [c.comp[c.node_index[v]] for v in order]
+        spans = c.spans(rank)
 
         for border_bits in range(1 << (n - 1)):
-            forced = [
-                e.id for e, m in zip(edges, cross_mask) if m & border_bits
-            ]
-            forced_cost = sum(graph.edge_by_id[eid].reg for eid in forced) * u
+            forced = [i for i, m in enumerate(spans) if m & border_bits]
+            forced_cost = sum(edge_reg[i] for i in forced) * u
             if forced_cost > best_rep.uspill:
                 continue
 
             points = [p for p in range(n - 1) if border_bits >> p & 1] + [n - 1]
             tiles = len(points)
-            free_edges = [
-                e for e, m in zip(edges, cross_mask)
-                if not m & border_bits and e.reg > 0
+            # Reg-0 edges inside a tile add no pressure and cost nothing,
+            # so they are never spilled.
+            free = [
+                i for i, m in enumerate(spans) if not m & border_bits and edge_reg[i] > 0
             ]
+            nfree = len(free)
+            free_mask = (1 << nfree) - 1
+            free_costs = [edge_reg[i] * u for i in free]
             tile_of_rank = _tile_of_rank(points, n)
+            # Crossing registers per subset of ``free`` spilled; they do not
+            # depend on the widths.
+            crossing_of: dict[int, list[int]] = {}
 
             for widths in product(range(mw, 0, -1), repeat=tiles):
-                items = [(e.id, False, e.reg * u) for e in free_edges] + [
-                    (
-                        nd.id,
-                        True,
-                        _state_charge(u, widths[tile_of_rank[rank[nd.id]]], nd.state),
-                    )
-                    for nd in state_nodes
+                width_at = [widths[t] for t in tile_of_rank]
+                # Item k < nfree spills edge ``free[k]``, item nfree + k the
+                # state of ``state_nodes[k]``.
+                item_costs = free_costs + [
+                    _state_charge(u, width_at[rank[v]], c.state[v]) for v in state_nodes
                 ]
-                item_costs = [c for _, _, c in items]
                 for extra, chosen in _subsets_by_cost(item_costs):
                     total = forced_cost + extra
                     if total > best_rep.uspill:
                         break
                     candidates += 1
-                    espill = set(forced)
-                    sspill = set()
-                    for i in chosen:
-                        vid, is_state, _c = items[i]
-                        (sspill if is_state else espill).add(vid)
+                    # Screen on the compiled form: only a candidate that
+                    # fits the limit becomes a TilingSolution.
+                    spilled = chosen & free_mask
+                    crossing = crossing_of.get(spilled)
+                    if crossing is None:
+                        kept = [i for k, i in enumerate(free) if not spilled >> k & 1]
+                        crossing = crossing_of[spilled] = c.crossing_regs(spans, kept)
+                    press = c.pressure(comp_at, reserve_of[chosen >> nfree], width_at, crossing)
+                    if max(press) > limit:
+                        continue
+                    espill = {edge_ids[i] for i in forced}
+                    espill.update(edge_ids[i] for k, i in enumerate(free) if spilled >> k & 1)
+                    sspill = {
+                        node_ids[v] for k, v in enumerate(state_nodes) if chosen >> (nfree + k) & 1
+                    }
                     sol = TilingSolution(
-                        order,
-                        tuple(points),
-                        widths,
-                        frozenset(espill),
-                        frozenset(sspill),
+                        order, tuple(points), widths, frozenset(espill), frozenset(sspill)
                     )
                     # Every feasible candidate that gets past the key test
                     # is cheaper, or equal in cost with a smaller key.
@@ -195,10 +238,15 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
                         key = tiling.canonical_key(sol)
                         if key >= best_key:
                             continue
+                    # Every new incumbent is re-checked by the reference
+                    # evaluators on the TilingSolution itself.
                     if not tiling.feasible(sol, instance).ok:
-                        continue
+                        raise RuntimeError("compiled screen passed an infeasible tiling")
                     rep = tiling.cost(sol, instance)
-                    assert rep.uspill == total, "enumeration cost drifted from evaluator"
+                    if rep.uspill != total:
+                        raise RuntimeError(
+                            f"enumeration cost {total} drifted from evaluator cost {rep.uspill}"
+                        )
                     best, best_rep = sol, rep
                     best_key = key if key is not None else tiling.canonical_key(sol)
 

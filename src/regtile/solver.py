@@ -446,7 +446,10 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
         return done(SolveStatus.INFEASIBLE, None, None)
 
     incumbent = tiling.all_spill_solution(instance)
-    assert tiling.feasible(incumbent, instance).ok
+    if not tiling.feasible(incumbent, instance).ok:
+        raise RuntimeError(
+            "the all-spill tiling is infeasible although the limit covers every comp"
+        )
     incumbent_rep = tiling.cost(incumbent, instance)
 
     model = _Model(instance)
@@ -497,5 +500,6 @@ def solve(instance: ProblemInstance, cfg: SearchConfig = SearchConfig()) -> Solv
         stack.append(dom)
 
     status = SolveStatus.FEASIBLE if budget_hit else SolveStatus.OPTIMAL
-    assert tiling.feasible(incumbent, instance).ok
+    if not tiling.feasible(incumbent, instance).ok:
+        raise RuntimeError("the solver's incumbent is infeasible")
     return done(status, incumbent, incumbent_rep, explored, backtracks, updates)

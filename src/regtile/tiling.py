@@ -8,6 +8,13 @@ at every point, feasibility against the register limit, and the exact
 per-iteration spill cost.  Everything here is pure and usable on infeasible
 solutions too, so candidates can be scored independently of the pressure
 model.
+
+``CompiledInstance`` holds an instance's graph as index arrays (node comp
+and state vectors, the total state, and each edge's source, destination,
+reg and group index), built once per instance and cached on it.  It holds
+the one implementation of point pressure; ``pressure`` and ``feasible``
+map a ``TilingSolution`` onto it, and the oracle screens its candidates on
+it directly.
 """
 
 from __future__ import annotations
@@ -233,40 +240,123 @@ def _check_solution(sol: TilingSolution, graph: DataFlowGraph) -> None:
         raise ValueError(f"unknown node ids in spill set: {sorted(unknown)}")
 
 
-def _group_cross_masks(sol: TilingSolution, graph: DataFlowGraph) -> dict[str, int]:
-    """Bitmask per group of the points [src rank, dst rank) spanned by its
-    unspilled members inside one tile (a spilled value waits in memory)."""
+class CompiledInstance:
+    """An instance's graph as index arrays, for scoring many tilings.
+
+    Nodes are numbered in declaration order, edges in ``graph.edges`` order
+    and value groups in ``graph.groups`` order.  ``pressure`` is the one
+    definition of the model's point pressure, with ``crossing_regs`` the
+    register demand of the values live across each point: ``points``
+    evaluates both for a whole solution in index form, and the oracle calls
+    them directly with spans, widths and crossings it reuses across many
+    candidates.  Get the form with ``CompiledInstance.of``, which builds it
+    once per instance.
+    """
+
+    __slots__ = (
+        "node_index", "edge_index", "comp", "state", "total_state",
+        "edge_src", "edge_dst", "edge_reg", "edge_group", "group_reg",
+    )
+
+    def __init__(self, graph: DataFlowGraph):
+        self.node_index = {nd.id: i for i, nd in enumerate(graph.nodes)}
+        self.edge_index = {e.id: i for i, e in enumerate(graph.edges)}
+        self.comp = tuple(nd.comp for nd in graph.nodes)
+        self.state = tuple(nd.state for nd in graph.nodes)
+        self.total_state = graph.total_state
+        group_index = {g.id: k for k, g in enumerate(graph.groups)}
+        self.group_reg = tuple(g.reg for g in graph.groups)
+        self.edge_src = tuple(self.node_index[e.src] for e in graph.edges)
+        self.edge_dst = tuple(self.node_index[e.dst] for e in graph.edges)
+        self.edge_reg = tuple(e.reg for e in graph.edges)
+        self.edge_group = tuple(group_index[e.group] for e in graph.edges)
+
+    @classmethod
+    def of(cls, instance: ProblemInstance) -> "CompiledInstance":
+        """The instance's compiled form, built on first use and kept in the
+        instance's ``__dict__`` (as ``functools.cached_property`` keeps its
+        values), so it is shared by every caller and freed with the
+        instance."""
+        cache = instance.__dict__
+        compiled = cache.get("_compiled")
+        if compiled is None:
+            compiled = cache["_compiled"] = cls(instance.graph)
+        return compiled
+
+    def spans(self, rank) -> list[int]:
+        """Per edge, the bitmask of the points [rank src, rank dst) its
+        value is live across; 0 for an edge whose order is violated.
+        ``rank[i]`` is the rank of node ``i``."""
+        return [
+            (1 << rank[d]) - (1 << rank[s]) if rank[s] < rank[d] else 0
+            for s, d in zip(self.edge_src, self.edge_dst)
+        ]
+
+    def crossing_regs(self, spans, kept) -> list[int]:
+        """Per point, the summed reg of the groups that have an edge in
+        ``kept`` whose span covers the point.  ``kept`` holds the indices
+        of the edges whose values stay in registers inside their tile; a
+        group is charged once however many of its edges cover the point."""
+        masks = [0] * len(self.group_reg)
+        edge_group = self.edge_group
+        for i in kept:
+            masks[edge_group[i]] |= spans[i]
+        regs = [0] * len(self.comp)
+        for reg, mask in zip(self.group_reg, masks):
+            while mask:
+                low = mask & -mask
+                regs[low.bit_length() - 1] += reg
+                mask ^= low
+        return regs
+
+    @staticmethod
+    def pressure(comp_at, reserve: int, width_at, crossing) -> list[int]:
+        """Register pressure at every point (point j sits after rank j).
+
+        Point j charges ``comp_at[j]`` (the comp of the rank-j node), plus
+        ``reserve`` (the states kept in registers across iterations), plus
+        ``crossing[j]`` (see ``crossing_regs``) times ``width_at[j]``, the
+        width of the tile owning rank j.
+        """
+        return [c + reserve + w * x for c, w, x in zip(comp_at, width_at, crossing)]
+
+    def points(self, rank, tile_of_rank, width_at, edge_spill, state_spill) -> list[int]:
+        """Pressure of a solution given in index form: ``rank`` per node,
+        the tile and width at each rank, and the sets of spilled edge and
+        node indices.  An edge is kept when it is unspilled, its order is
+        respected and both its ends sit in one tile (a spilled value waits
+        in memory)."""
+        order = [0] * len(rank)
+        for i, r in enumerate(rank):
+            order[r] = i
+        comp = self.comp
+        state = self.state
+        kept = [
+            i
+            for i, (s, d) in enumerate(zip(self.edge_src, self.edge_dst))
+            if i not in edge_spill and tile_of_rank[rank[s]] == tile_of_rank[rank[d]]
+        ]
+        return self.pressure(
+            [comp[i] for i in order],
+            self.total_state - sum(state[i] for i in state_spill),
+            width_at,
+            self.crossing_regs(self.spans(rank), kept),
+        )
+
+
+def _pressure_points(sol: TilingSolution, instance: ProblemInstance) -> list[int]:
+    """Map a solution onto ``CompiledInstance.points``."""
+    c = CompiledInstance.of(instance)
     rank = sol.rank
-    tiles = sol.tile_of_rank
-    edge_by_id = graph.edge_by_id
-    spill = sol.edge_spill
-    masks: dict[str, int] = {}
-    for g in graph.groups:
-        mask = 0
-        for eid in g.members:
-            if eid in spill:
-                continue
-            e = edge_by_id[eid]
-            rs, rd = rank[e.src], rank[e.dst]
-            if rs < rd and tiles[rs] == tiles[rd]:
-                mask |= (1 << rd) - (1 << rs)
-        masks[g.id] = mask
-    return masks
-
-
-def _pressure_points(sol: TilingSolution, graph: DataFlowGraph) -> list[int]:
     widths = sol.tile_widths
-    node_by_id = graph.node_by_id
-    reserve = sum(n.state for n in graph.nodes if n.id not in sol.state_spill)
-    press = [node_by_id[v].comp + reserve for v in sol.order]
     tiles = sol.tile_of_rank
-    masks = _group_cross_masks(sol, graph)
-    for g in graph.groups:
-        if g.reg == 0:
-            continue
-        for j in _bits(masks[g.id]):
-            press[j] += g.reg * widths[tiles[j]]
-    return press
+    return c.points(
+        [rank[v] for v in instance.graph.node_ids],
+        tiles,
+        [widths[t] for t in tiles],
+        {c.edge_index[eid] for eid in sol.edge_spill},
+        {c.node_index[v] for v in sol.state_spill},
+    )
 
 
 def pressure(sol: TilingSolution, instance: ProblemInstance) -> PressureProfile:
@@ -277,7 +367,7 @@ def pressure(sol: TilingSolution, instance: ProblemInstance) -> PressureProfile:
     scaled by the width of the tile the point belongs to.
     """
     _check_solution(sol, instance.graph)
-    return PressureProfile(tuple(_pressure_points(sol, instance.graph)))
+    return PressureProfile(tuple(_pressure_points(sol, instance)))
 
 
 def feasible(sol: TilingSolution, instance: ProblemInstance) -> FeasibilityResult:
@@ -304,7 +394,7 @@ def feasible(sol: TilingSolution, instance: ProblemInstance) -> FeasibilityResul
             return FeasibilityResult(
                 False, None, f"tile {t} width {w} exceeds max_width {instance.max_width}"
             )
-    press = _pressure_points(sol, graph)
+    press = _pressure_points(sol, instance)
     for j, p in enumerate(press):
         if p > instance.limit:
             return FeasibilityResult(

@@ -8,6 +8,7 @@ implementations are checked against a second route, not against themselves.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import ceil
 
 from regtile import dfg, tiling
@@ -147,14 +148,53 @@ def naive_pressure(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) ->
     return out
 
 
-def naive_uspill(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> int:
+def naive_feasible(
+    sol: tiling.TilingSolution, instance: dfg.ProblemInstance
+) -> tiling.FeasibilityResult:
+    """Second-route feasibility: the model's conditions in the order the
+    evaluator reports them (per edge, order before tile crossing; then tile
+    widths; then the first point over the limit), on ``naive_pressure``."""
+    g = instance.graph
+    rank = {v: r for r, v in enumerate(sol.order)}
+    assign = naive_tile_assignment(sol)
+    for e in g.edges:
+        if rank[e.src] >= rank[e.dst]:
+            return tiling.FeasibilityResult(False, None, f"order violates edge {e.id!r}")
+        if assign[e.src] != assign[e.dst] and e.id not in sol.edge_spill:
+            return tiling.FeasibilityResult(
+                False, None, f"edge {e.id!r} crosses a tile border but is not spilled"
+            )
+    for t, w in enumerate(sol.tile_widths):
+        if w > instance.max_width:
+            return tiling.FeasibilityResult(
+                False, None, f"tile {t} width {w} exceeds max_width {instance.max_width}"
+            )
+    for j, p in enumerate(naive_pressure(sol, instance)):
+        if p > instance.limit:
+            return tiling.FeasibilityResult(
+                False, j, f"pressure {p} exceeds limit {instance.limit} at point {j}"
+            )
+    return tiling.FeasibilityResult(True)
+
+
+def naive_cost(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> tiling.CostReport:
     """Second-route cost: literal formula evaluation."""
     g = instance.graph
     u = instance.unroll
     assign = naive_tile_assignment(sol)
-    total = sum(g.edge_by_id[eid].reg * u for eid in sol.edge_spill)
+    stream = sum(g.edge_by_id[eid].reg * u for eid in sol.edge_spill)
+    state = 0
+    alt = []
     for nd in g.nodes:
-        if nd.id in sol.state_spill:
+        if nd.id in sol.state_spill and nd.state > 0:
             w = sol.tile_widths[assign[nd.id]]
-            total += ceil(u / w) * nd.state
-    return total
+            state += ceil(u / w) * nd.state
+            alt.append(
+                (nd.id, sum(Fraction(min(s.distance, w) * s.reg, w) for s in nd.sources))
+            )
+    total = stream + state
+    return tiling.CostReport(total, Fraction(total, u), stream, state, tuple(alt))
+
+
+def naive_uspill(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> int:
+    return naive_cost(sol, instance).uspill

@@ -1,6 +1,9 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,66 @@ class TestBruteForce:
         b = oracle.brute_force(inst)
         assert a.witness == b.witness
         assert a.candidates == b.candidates
+
+
+# Candidate counts and witnesses of the toy at 6 registers and of the first
+# 20 acceptance-corpus instances, recorded before the oracle screened its
+# candidates on the compiled instance form.
+ORACLE_PINS = json.loads((Path(__file__).parent / "data" / "oracle_pins.json").read_text())
+
+
+class TestPinnedWork:
+    def test_toy_limit6(self):
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        res = oracle.brute_force(inst)
+        pin = ORACLE_PINS["toy6"]
+        assert res.candidates == pin["candidates"]
+        assert res.witness.to_json_dict() == pin["witness"]
+
+    def test_acceptance_corpus_head(self):
+        corpus = stats.generate_corpus(42, 200)[:20]
+        for inst in corpus:
+            res = oracle.brute_force(inst)
+            pin = ORACLE_PINS[inst.name]
+            assert res.candidates == pin["candidates"], inst.name
+            assert res.witness.to_json_dict() == pin["witness"], inst.name
+        assert len(ORACLE_PINS) == 1 + len(corpus)
+
+
+class TestSelfChecks:
+    def test_evaluator_cost_drift_raises(self, monkeypatch):
+        true_cost = tiling.cost
+
+        def drifted(sol, instance):
+            rep = true_cost(sol, instance)
+            return dataclasses.replace(rep, uspill=rep.uspill + 1)
+
+        monkeypatch.setattr(tiling, "cost", drifted)
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        with pytest.raises(RuntimeError, match="drifted"):
+            oracle.brute_force(inst)
+
+    def test_screen_passing_infeasible_incumbent_raises(self, monkeypatch):
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        seed = tiling.all_spill_solution(inst)
+        true_feasible = tiling.feasible
+
+        def only_seed(sol, instance):
+            if sol == seed:
+                return true_feasible(sol, instance)
+            return tiling.FeasibilityResult(False)
+
+        monkeypatch.setattr(tiling, "feasible", only_seed)
+        with pytest.raises(RuntimeError, match="screen passed an infeasible tiling"):
+            oracle.brute_force(inst)
+
+    def test_infeasible_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            tiling, "feasible", lambda sol, instance: tiling.FeasibilityResult(False)
+        )
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        with pytest.raises(RuntimeError, match="all-spill tiling is infeasible"):
+            oracle.brute_force(inst)
 
 
 class TestTopologicalOrders:

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from regtile import dfg, oracle, solver, stats, tiling
 
 from .conftest import toy_document
@@ -23,6 +25,15 @@ class TestSolve:
         out = solver.solve(dfg.instance_from_document(doc))
         assert out.status is solver.SolveStatus.INFEASIBLE
         assert out.best is None
+
+    def test_infeasible_seed_raises(self, monkeypatch):
+        # An explicit check, not an assert, so it holds under python -O too.
+        monkeypatch.setattr(
+            tiling, "feasible", lambda sol, instance: tiling.FeasibilityResult(False)
+        )
+        inst = dfg.instance_from_document(toy_document(), registers=6)
+        with pytest.raises(RuntimeError, match="all-spill tiling is infeasible"):
+            solver.solve(inst)
 
     def test_toy_limit6_matches_oracle_and_beats_paper(self):
         inst = dfg.instance_from_document(toy_document(), registers=6)

@@ -5,7 +5,15 @@ import pytest
 
 from regtile import dfg, stats, tiling
 
-from .helpers import naive_pressure, naive_tile_assignment, naive_uspill, random_solution
+from .conftest import toy_document
+from .helpers import (
+    naive_cost,
+    naive_feasible,
+    naive_pressure,
+    naive_tile_assignment,
+    naive_uspill,
+    random_solution,
+)
 
 
 def _toy_one_tile(order, espill=(), sspill=("S0", "S1", "S2")):
@@ -266,6 +274,70 @@ class TestCost:
         assert charges["S0"] == Fraction(2, 6)
         assert charges["S1"] == Fraction(1, 3)
         assert charges["S2"] == Fraction(2, 6)
+
+
+def _random_any_solution(rng, inst):
+    """A solution that may break any model condition: each of a shuffled
+    (mostly non-topological) order, fresh borders with empty tiles, a width
+    above ``max_width``, an unspilled tile-crossing edge and spilled reg-0
+    edges is applied at random to a structurally valid solution."""
+    g = inst.graph
+    n = len(g.nodes)
+    sol = random_solution(rng, inst)
+    order = list(sol.order)
+    points, widths = sol.tile_points, list(sol.tile_widths)
+    espill, sspill = set(sol.edge_spill), set(sol.state_spill)
+    if rng.random() < 0.25:
+        rng.shuffle(order)
+    if rng.random() < 0.4:
+        cuts = sorted(rng.randint(-1, n - 1) for _ in range(rng.randint(0, n)))
+        points = tuple(cuts) + (n - 1,)
+        widths = [rng.randint(1, inst.max_width) for _ in points]
+    if rng.random() < 0.15:
+        widths[rng.randrange(len(widths))] = inst.max_width + rng.randint(1, 2)
+    if espill and rng.random() < 0.25:
+        espill.remove(rng.choice(sorted(espill)))
+    if rng.random() < 0.5:
+        espill |= {e.id for e in g.edges if e.reg == 0}
+    return tiling.TilingSolution(tuple(order), points, tuple(widths), espill, sspill)
+
+
+class TestCompiledAgainstSecondRoute:
+    def test_random_solutions_including_infeasible(self):
+        rng = random.Random(29)
+        instances = [
+            dfg.instance_from_document(toy_document(), registers=r) for r in range(3, 9)
+        ]
+        instances += [inst for inst in stats.generate_corpus(37, 40) if inst.graph.nodes]
+        # "crosses a tile border" contains "order", so it is matched first.
+        seen = {"ok": 0, "crosses": 0, "order": 0, "max_width": 0, "pressure": 0}
+        empty_tiles = reg0_spilled = 0
+        checked = 0
+        for inst in instances:
+            reg0 = {e.id for e in inst.graph.edges if e.reg == 0}
+            for _ in range(40 if inst.name == "toy" else 20):
+                sol = _random_any_solution(rng, inst)
+                assert list(tiling.pressure(sol, inst).points) == naive_pressure(sol, inst)
+                res = tiling.feasible(sol, inst)
+                assert res == naive_feasible(sol, inst)
+                assert tiling.cost(sol, inst) == naive_cost(sol, inst)
+                kind = "ok" if res.ok else next(k for k in seen if k in res.reason)
+                seen[kind] += 1
+                empty_tiles += sol.tile_points[0] == -1 or len(set(sol.tile_points)) < len(
+                    sol.tile_points
+                )
+                reg0_spilled += bool(sol.edge_spill & reg0)
+                checked += 1
+        assert checked >= 1000
+        assert all(seen.values()), seen
+        assert empty_tiles and reg0_spilled
+
+
+    def test_compiled_once_per_instance(self, toy_instance, paper_tiling):
+        compiled = tiling.CompiledInstance.of(toy_instance)
+        tiling.pressure(paper_tiling, toy_instance)
+        tiling.feasible(paper_tiling, toy_instance)
+        assert tiling.CompiledInstance.of(toy_instance) is compiled
 
 
 class TestMonotonicity:
