@@ -9,6 +9,7 @@ emit a machine-readable error object on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -91,7 +92,8 @@ def _write(args, text: str) -> None:
 
 
 def _emit(args, payload: dict) -> None:
-    _write(args, json.dumps(payload, indent=2) + "\n")
+    """One line of JSON: without ``indent`` the C encoder does the work."""
+    _write(args, json.dumps(payload) + "\n")
 
 
 def _search_config(args) -> solver.SearchConfig:
@@ -298,7 +300,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later
+    ``main`` call in the process."""
     parser = _Parser(
         prog="regtile",
         description="Minimize per-iteration loads of an innermost loop body "

@@ -13,8 +13,8 @@ approximation of simulated liveness.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 
 from . import tiling
 from .dfg import ProblemInstance
@@ -112,9 +112,10 @@ class ScheduleProgram:
     def to_json_dict(self) -> dict:
         ops = []
         for op in self.ops:
-            if isinstance(op, ExecOp):
+            kind = type(op)
+            if kind is ExecOp:
                 ops.append({"op": "exec", "node": op.node, "col": op.col})
-            elif isinstance(op, LoadOp):
+            elif kind is LoadOp:
                 ops.append({"op": "load", "value": op.value, "reg": op.reg})
             else:
                 ops.append({"op": "store", "value": op.value, "reg": op.reg})
@@ -123,7 +124,9 @@ class ScheduleProgram:
             "live_in": list(self.live_ins),
             "remainder": self.remainder_note,
             "ops": ops,
-            "register_map": dict(self.register_map) if self.register_map else None,
+            "register_map": (
+                dict(self.register_map) if self.register_map is not None else None
+            ),
             "overflow": [
                 {
                     "index": ev.index,
@@ -187,16 +190,31 @@ def generate(
             words.extend(_words(_fresh(taken, f"{n.id}.state"), n.state))
         state_words[n.id] = words
 
-    in_edges: dict[str, list] = {v: [] for v in graph.node_ids}
+    in_words: dict[str, list[tuple[list[str], bool]]] = {v: [] for v in graph.node_ids}
     out_groups: dict[str, list[str]] = {v: [] for v in graph.node_ids}
     group_has_spill: dict[str, bool] = {}
     for e in graph.edges:
-        in_edges[e.dst].append(e)
+        spilled = e.id in sol.edge_spill
+        if e.reg > 0:
+            in_words[e.dst].append((group_words[e.group], spilled))
         if e.group not in out_groups[e.src]:
             out_groups[e.src].append(e.group)
-        group_has_spill[e.group] = group_has_spill.get(e.group, False) or (
-            e.id in sol.edge_spill
+        group_has_spill[e.group] = group_has_spill.get(e.group, False) or spilled
+
+    # Everything about a node's EXEC but the column: whether its state is
+    # spilled, its state words (none without state), its in-edge words, the
+    # words it defines and the words it stores right after.
+    plans = {}
+    for n in graph.nodes:
+        out = [gid for gid in out_groups[n.id] if gid in group_words]
+        plans[n.id] = (
+            n.state > 0 and n.id in sol.state_spill,
+            state_words[n.id],
+            in_words[n.id],
+            [word for gid in out for word in group_words[gid]],
+            [word for gid in out if group_has_spill[gid] for word in group_words[gid]],
         )
+    suffix = [f"@col{c}" for c in range(u + 1)]
 
     spilled_values: set[str] = set()
     ops: list[ExecOp | LoadOp | StoreOp] = []
@@ -210,48 +228,36 @@ def generate(
             cols = range(c0, min(c0 + w, u))
             last_col = cols[-1]
             for v in rows:
-                node = graph.node_by_id[v]
-                spill_state = v in sol.state_spill and node.state > 0
+                spill_state, state, inputs, defined, stored = plans[v]
                 for c in cols:
-                    consumes: list[str] = []
-                    produces: list[str] = []
-                    if node.state > 0:
-                        if spill_state:
-                            if c == c0:
-                                for word in state_words[v]:
-                                    ops.append(LoadOp(f"{word}@col{c0}"))
-                                    spilled_values.add(f"{word}@col{c0}")
-                            consumes += [f"{word}@col{c}" for word in state_words[v]]
-                            produces += [f"{word}@col{c + 1}" for word in state_words[v]]
-                        else:
-                            consumes += state_words[v]
-                            produces += state_words[v]
-                    for e in in_edges[v]:
-                        if e.reg == 0:
-                            continue
-                        words = [f"{word}@col{c}" for word in group_words[e.group]]
-                        if e.id in sol.edge_spill:
-                            for word in words:
-                                ops.append(LoadOp(word))
+                    at = suffix[c]
+                    if spill_state:
+                        if c == c0:
+                            for word in state:
+                                ops.append(LoadOp(word + at))
+                                spilled_values.add(word + at)
+                        consumes = [word + at for word in state]
+                        produces = [word + suffix[c + 1] for word in state]
+                    else:
+                        consumes = list(state)
+                        produces = list(state)
+                    for base, spilled in inputs:
+                        words = [word + at for word in base]
+                        if spilled:
+                            ops.extend(map(LoadOp, words))
                         for word in words:
                             if word not in consumes:
                                 consumes.append(word)
-                    for gid in out_groups[v]:
-                        if gid in group_words:
-                            produces += [f"{word}@col{c}" for word in group_words[gid]]
+                    produces += [word + at for word in defined]
                     ops.append(ExecOp(v, c, tuple(consumes), tuple(produces)))
-                    for gid in out_groups[v]:
-                        if gid not in group_words:
-                            continue
-                        words = [f"{word}@col{c}" for word in group_words[gid]]
-                        if group_has_spill[gid]:
-                            spilled_values.update(words)
-                            for word in words:
-                                ops.append(StoreOp(word))
+                    if stored:
+                        words = [word + at for word in stored]
+                        spilled_values.update(words)
+                        ops.extend(map(StoreOp, words))
                     if spill_state and c == last_col:
-                        for word in state_words[v]:
-                            ops.append(StoreOp(f"{word}@col{c + 1}"))
-                            spilled_values.add(f"{word}@col{c + 1}")
+                        for word in state:
+                            ops.append(StoreOp(word + suffix[c + 1]))
+                            spilled_values.add(word + suffix[c + 1])
 
     live_ins = []
     for n in graph.nodes:
@@ -286,36 +292,40 @@ def verify_def_before_use(program: ScheduleProgram) -> list[str]:
     return problems
 
 
-def _interval_releases(program: ScheduleProgram) -> set[tuple[int, str]]:
-    """(op index, value) pairs where a value's current interval ends.
+def _interval_ends(ops) -> list[tuple[str, ...]]:
+    """Per op, the values whose register interval ends there.
 
-    A value id can live through several register intervals (e.g. a state
-    stored at a repetition border and reloaded by the next repetition), so
-    a use ends an interval exactly when no further use precedes the next
-    definition of the same id.
+    One reverse scan keeps each value's next event: ``-1`` for a use, the
+    op index for a definition.  A use ends an interval when the value has
+    no next event or its next event is a definition at a later op.  A value
+    id can live through several intervals (a state stored at a repetition
+    border and reloaded by the next repetition); a definition at the same
+    op is an in-place redefinition (a state chain advancing), which keeps
+    the register.
     """
-    events: dict[str, list[tuple[int, bool]]] = {}
-    for i, op in enumerate(program.ops):
-        if isinstance(op, LoadOp):
-            events.setdefault(op.value, []).append((i, True))
-        elif isinstance(op, StoreOp):
-            events.setdefault(op.value, []).append((i, False))
-        else:
-            for v in op.consumes:
-                events.setdefault(v, []).append((i, False))
+    end = len(ops)
+    ends: list[tuple[str, ...]] = [()] * end
+    after: dict[str, int] = {}
+    for i in range(end - 1, -1, -1):
+        op = ops[i]
+        kind = type(op)
+        if kind is ExecOp:
             for v in op.produces:
-                events.setdefault(v, []).append((i, True))
-    releases = set()
-    for value, evs in events.items():
-        for k, (i, is_def) in enumerate(evs):
-            if is_def:
-                continue
-            nxt = evs[k + 1] if k + 1 < len(evs) else None
-            # A def at the same op is an in-place redefinition (a state
-            # chain advancing), which keeps the register occupied.
-            if nxt is None or (nxt[1] and nxt[0] > i):
-                releases.add((i, value))
-    return releases
+                after[v] = i
+            dying = []
+            for v in reversed(op.consumes):
+                if after.get(v, end) > i:
+                    dying.append(v)
+                after[v] = -1
+            if dying:
+                ends[i] = tuple(dying)
+        elif kind is LoadOp:
+            after[op.value] = i
+        else:
+            if after.get(op.value, end) > i:
+                ends[i] = (op.value,)
+            after[op.value] = -1
+    return ends
 
 
 def assign_registers(program: ScheduleProgram, limit: int) -> ScheduleProgram:
@@ -323,55 +333,51 @@ def assign_registers(program: ScheduleProgram, limit: int) -> ScheduleProgram:
 
     Live values hold one register per word; an EXEC additionally reserves
     its comp registers for its duration, with inputs dying at the EXEC
-    released first and outputs claimed after.  Overflow never aborts: extra
-    registers beyond the limit are handed out and every such point is
-    reported, because simulated liveness may legitimately disagree with the
-    model's pressure approximation.
+    released first and outputs claimed after.  A use releases its value's
+    register when the value is not used again before it is next defined
+    at a later op (a LOAD or an EXEC output), or never again; a STORE is a
+    use, and an EXEC that consumes and redefines a value keeps it.  A LOAD
+    of a value that is still live frees its register and claims the lowest
+    free one.  Overflow never aborts: extra registers beyond the limit are
+    handed out and every such point is reported, because simulated
+    liveness may legitimately disagree with the model's pressure
+    approximation.
     """
-    releases = _interval_releases(program)
+    ops = program.ops
+    ends = _interval_ends(ops)
     comp_of = dict(program.node_comp)
-    free: list[int] = list(range(limit))
-    heapq.heapify(free)
-    next_extra = limit
+    spilled = program.spilled_values
+    free: list[int] = list(range(limit))  # ascending, so already a heap
+    names = [f"r{r}" for r in range(limit)]
     live: dict[str, int] = {}
     overflow: list[OverflowEvent] = []
-    register_map: dict[str, str] = {v: "SPILLED" for v in program.spilled_values}
+    register_map: dict[str, str] = {v: "SPILLED" for v in spilled}
 
     def claim(value: str, index: int, detail: str) -> int:
-        nonlocal next_extra
+        """Lowest free register, or a new one past the limit."""
         if free:
-            r = heapq.heappop(free)
+            r = heappop(free)
         else:
-            r = next_extra
-            next_extra += 1
+            r = len(names)
+            names.append(f"r{r}")
         live[value] = r
         if len(live) > limit:
             overflow.append(OverflowEvent(index, len(live), limit, detail))
-        if value not in program.spilled_values:
-            register_map[value] = f"r{r}"
+        if value not in spilled:
+            register_map[value] = names[r]
         return r
-
-    def release(index: int, value: str) -> None:
-        if (index, value) in releases and value in live:
-            heapq.heappush(free, live.pop(value))
 
     for word in program.live_ins:
         claim(word, 0, f"loop-carried value {word}")
 
     new_ops: list[ExecOp | LoadOp | StoreOp] = []
-    for i, op in enumerate(program.ops):
-        if isinstance(op, LoadOp):
-            if op.value in live:
-                heapq.heappush(free, live.pop(op.value))
-            r = claim(op.value, i, f"load of {op.value}")
-            new_ops.append(LoadOp(op.value, f"r{r}"))
-        elif isinstance(op, StoreOp):
-            r = live.get(op.value)
-            new_ops.append(StoreOp(op.value, f"r{r}" if r is not None else "r?"))
-            release(i, op.value)
-        else:
-            for v in op.consumes:
-                release(i, v)
+    for i, op in enumerate(ops):
+        kind = type(op)
+        if kind is ExecOp:
+            for v in ends[i]:
+                r = live.pop(v, None)
+                if r is not None:
+                    heappush(free, r)
             comp = comp_of.get(op.node, 0)
             if len(live) + comp > limit:
                 overflow.append(
@@ -386,6 +392,18 @@ def assign_registers(program: ScheduleProgram, limit: int) -> ScheduleProgram:
                 if v not in live:
                     claim(v, i, f"output {v} of {op.node}")
             new_ops.append(op)
+        elif kind is LoadOp:
+            value = op.value
+            r = live.pop(value, None)
+            if r is not None:
+                heappush(free, r)
+            r = claim(value, i, f"load of {value}")
+            new_ops.append(LoadOp(value, names[r]))
+        else:
+            r = live.get(op.value)
+            new_ops.append(StoreOp(op.value, names[r] if r is not None else "r?"))
+            if ends[i] and r is not None:
+                heappush(free, live.pop(op.value))
     return replace(
         program,
         ops=tuple(new_ops),

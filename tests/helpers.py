@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from math import ceil
 
-from regtile import dfg, tiling
+from regtile import codegen, dfg, tiling
 
 
 def reachability_scc_count(g: dfg.RawDependenceGraph) -> int:
@@ -198,3 +198,33 @@ def naive_cost(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> til
 
 def naive_uspill(sol: tiling.TilingSolution, instance: dfg.ProblemInstance) -> int:
     return naive_cost(sol, instance).uspill
+
+
+def naive_interval_releases(program: codegen.ScheduleProgram) -> set[tuple[int, str]]:
+    """Second-route register releases: (op index, value) pairs where a
+    value's current interval ends, from each value's full event list.
+
+    A use ends an interval exactly when no further use precedes the next
+    definition of the same id; a definition at the same op is an in-place
+    redefinition (a state chain advancing), which keeps the register.
+    """
+    events: dict[str, list[tuple[int, bool]]] = {}
+    for i, op in enumerate(program.ops):
+        if isinstance(op, codegen.LoadOp):
+            events.setdefault(op.value, []).append((i, True))
+        elif isinstance(op, codegen.StoreOp):
+            events.setdefault(op.value, []).append((i, False))
+        else:
+            for v in op.consumes:
+                events.setdefault(v, []).append((i, False))
+            for v in op.produces:
+                events.setdefault(v, []).append((i, True))
+    releases = set()
+    for value, evs in events.items():
+        for k, (i, is_def) in enumerate(evs):
+            if is_def:
+                continue
+            nxt = evs[k + 1] if k + 1 < len(evs) else None
+            if nxt is None or (nxt[1] and nxt[0] > i):
+                releases.add((i, value))
+    return releases

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import regtile
 from regtile import cli, solver
 
 from .conftest import PAPER_TILING
@@ -398,3 +403,77 @@ def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
     error = json.loads(err)["error"]
     assert error["type"] == kind
     assert isinstance(error["message"], str) and error["message"]
+
+
+def _without_timings(payload):
+    """A payload with its wall-clock fields dropped."""
+    if isinstance(payload, dict):
+        return {
+            k: _without_timings(v)
+            for k, v in payload.items()
+            if k not in ("elapsed_ms", "wall_ms")
+        }
+    if isinstance(payload, list):
+        return [_without_timings(v) for v in payload]
+    return payload
+
+
+def _json_calls(instance_path, solution_path):
+    inst = ["--instance", str(instance_path), "--registers", "6"]
+    # Searches run at unroll 2, where the toy solves in milliseconds.
+    search = [*inst, "--unroll", "2"]
+    return {
+        "solve": ["solve", *search],
+        "oracle": ["oracle", *search],
+        "baseline": ["baseline", *inst],
+        "cost": ["cost", *inst, "--solution", str(solution_path)],
+        "codegen": ["codegen", *inst, "--solution", str(solution_path), "--emit-json"],
+        "sweep": ["sweep", "--instance", str(instance_path), "--registers", "6",
+                  "--unroll", "1..3"],
+    }
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_in_one_process_equal_separate_runs(self, capsys, toy_files):
+        calls = _json_calls(*toy_files)
+        argvs = [calls["solve"], calls["codegen"], calls["baseline"], calls["solve"]]
+        in_process = []
+        for argv in argvs:
+            code, out, _err = run_cli(capsys, *argv)
+            in_process.append((code, _without_timings(json.loads(out))))
+        src = str(Path(regtile.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        env.pop(cli.TIME_BUDGET_ENV, None)
+        for argv, (code, payload) in zip(argvs, in_process):
+            run = subprocess.run(
+                [sys.executable, "-m", "regtile.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert run.returncode == code, argv[0]
+            assert _without_timings(json.loads(run.stdout)) == payload, argv[0]
+        assert in_process[0] == in_process[3]
+
+    def test_usage_error_after_success(self, capsys, toy_files):
+        calls = _json_calls(*toy_files)
+        code, _out, _err = run_cli(capsys, *calls["codegen"])
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["codegen", "--instance", str(toy_files[0])])
+        assert exc.value.code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "usage"
+        assert error["usage"].startswith("usage: regtile codegen")
+        code, out, _err = run_cli(capsys, *calls["cost"])
+        assert code == 0
+        assert json.loads(out)["cost"]["uspill"] == 18
+
+    @pytest.mark.parametrize("subcommand", sorted(_json_calls("i", "s")))
+    def test_json_answer_is_one_line(self, capsys, toy_files, subcommand):
+        code, out, _err = run_cli(capsys, *_json_calls(*toy_files)[subcommand])
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert isinstance(json.loads(out), dict)

@@ -1,10 +1,46 @@
+import dataclasses
+import functools
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from regtile import codegen, dfg, stats, tiling
 
-from .helpers import random_solution
+from .conftest import PAPER_TILING, toy_document
+from .helpers import naive_interval_releases, random_solution
+
+# Hashes of assigned programs, recorded before codegen was restructured:
+# corpus witnesses at unroll 64, the paper tiling on the toy at 0, 3 and 6
+# registers, and forced random solutions (overflowing ones included).
+CODEGEN_PINS = json.loads(
+    (Path(__file__).parent / "data" / "codegen_pins.json").read_text(encoding="utf-8")
+)
+PIN_UNROLL = 64
+
+
+@functools.cache
+def _pin_corpus(seed: int) -> tuple[dfg.ProblemInstance, ...]:
+    return tuple(stats.generate_corpus(seed, 200))
+
+
+def pinned_program(pin: dict) -> codegen.ScheduleProgram:
+    """The assigned program a pin describes: a solution forced through
+    ``generate`` on a toy or corpus instance, then ``assign_registers``."""
+    if pin["source"] == "toy":
+        inst = dfg.instance_from_document(toy_document(), registers=pin["limit"])
+    else:
+        inst = _pin_corpus(pin["seed"])[pin["index"]]
+        if pin["unroll"] is not None:
+            inst = dataclasses.replace(inst, unroll=pin["unroll"])
+    sol = tiling.TilingSolution.from_json_dict(pin["solution"])
+    return codegen.assign_registers(codegen.generate(sol, inst, force=True), inst.limit)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.fixture
@@ -199,7 +235,88 @@ class TestAssignRegisters:
         assert assigned.register_map["X.0"] == "r0"
         assert assigned.register_map["b"] == "r2"
 
+    def test_empty_register_map_is_not_null(self):
+        # A node with no state and no edges: nothing lives in a register.
+        doc = {"name": "one", "registers": 1, "unroll": 2,
+               "nodes": [{"id": "A", "comp": 1}], "edges": []}
+        inst = dfg.instance_from_document(doc)
+        program = codegen.generate(tiling.all_spill_solution(inst), inst)
+        assert program.to_json_dict()["register_map"] is None
+        assigned = codegen.assign_registers(program, inst.limit)
+        assert assigned.register_map == {}
+        assert assigned.to_json_dict()["register_map"] == {}
+
     def test_render_shows_assignment(self, paper_program):
         text = codegen.assign_registers(paper_program, 6).render()
         assert "LOAD X.0@col0 -> r0" in text
         assert "EXEC S0 col=0" in text
+
+
+class TestIntervalEndsAgainstSecondRoute:
+    PARALLEL_DOC = {
+        "name": "parallel",
+        "registers": 2,
+        "unroll": 3,
+        "max_width": 3,
+        "nodes": [{"id": "A", "comp": 1, "state": 1}, {"id": "B", "comp": 1}],
+        "edges": [
+            {"id": "x", "src": "A", "dst": "B", "reg": 1, "variable": "t"},
+            {"id": "y", "src": "A", "dst": "B", "reg": 1, "variable": "t"},
+        ],
+    }
+
+    def test_reverse_scan_equals_naive_releases(self, toy_doc):
+        rng = random.Random(53)
+        pool = list(stats.generate_corpus(77, 30)) + [
+            dfg.instance_from_document(toy_doc, registers=6),
+            dfg.instance_from_document(self.PARALLEL_DOC),
+        ]
+        seen = {"in-place": 0, "parallel-reload": 0, "store-release": 0, "shuffled": 0}
+        for k in range(200):
+            inst = pool[k % len(pool)]
+            sol = random_solution(rng, inst)
+            if rng.random() < 0.2:
+                order = list(sol.order)
+                rng.shuffle(order)
+                sol = dataclasses.replace(sol, order=tuple(order))
+                seen["shuffled"] += 1
+            program = codegen.generate(sol, inst, force=True)
+            ends = codegen._interval_ends(program.ops)
+            assert len(ends) == len(program.ops)
+            got = [(i, v) for i, values in enumerate(ends) for v in values]
+            assert len(got) == len(set(got))
+            releases = naive_interval_releases(program)
+            assert set(got) == releases, (inst.name, sol)
+            last_event = {}  # value -> "use", "exec" or "load"
+            for i, op in enumerate(program.ops):
+                if isinstance(op, codegen.ExecOp):
+                    seen["in-place"] += bool(set(op.consumes) & set(op.produces))
+                    last_event.update((v, "use") for v in op.consumes)
+                    last_event.update((v, "exec") for v in op.produces)
+                elif isinstance(op, codegen.LoadOp):
+                    seen["parallel-reload"] += last_event.get(op.value) == "load"
+                    last_event[op.value] = "load"
+                else:
+                    seen["store-release"] += (i, op.value) in releases
+                    last_event[op.value] = "use"
+        assert all(seen.values()), seen
+
+
+class TestPinnedPrograms:
+    @pytest.mark.parametrize("source", ["witness", "toy", "random"])
+    def test_programs_equal_pins(self, source):
+        pins = {k: p for k, p in CODEGEN_PINS.items() if p["kind"] == source}
+        assert len(pins) >= 3
+        for name, pin in pins.items():
+            program = pinned_program(pin)
+            doc = json.dumps(program.to_json_dict(), sort_keys=True)
+            assert _sha256(doc) == pin["json_sha256"], name
+            assert _sha256(program.render()) == pin["render_sha256"], name
+            assert len(program.overflow) == pin["overflow"], name
+
+    def test_pins_cover_overflow_and_fit(self):
+        assert len(CODEGEN_PINS) == 43
+        assert CODEGEN_PINS["toy-limit6"]["solution"] == PAPER_TILING
+        random_pins = [p for p in CODEGEN_PINS.values() if p["kind"] == "random"]
+        assert sum(p["overflow"] > 0 for p in random_pins) >= 5
+        assert sum(p["overflow"] == 0 for p in CODEGEN_PINS.values()) >= 5
