@@ -351,7 +351,8 @@ def assign_registers(program: ScheduleProgram, limit: int) -> ScheduleProgram:
     names = [f"r{r}" for r in range(limit)]
     live: dict[str, int] = {}
     overflow: list[OverflowEvent] = []
-    register_map: dict[str, str] = {v: "SPILLED" for v in spilled}
+    # Sorted, so the map's key order does not depend on the string hash seed.
+    register_map: dict[str, str] = {v: "SPILLED" for v in sorted(spilled)}
 
     def claim(value: str, index: int, detail: str) -> int:
         """Lowest free register, or a new one past the limit."""

@@ -4,9 +4,18 @@ Enumerates every tiling in the model's search space - topological orders,
 border placements, width vectors, and spill subsets consistent with forced
 spills - cheapest first.  Each candidate is screened on the instance's
 compiled form (``tiling.CompiledInstance``, the same pressure definition
-the public evaluators use), with its spans, per-rank widths and crossing
-registers reused across the candidates that share them; only a candidate
-that fits the register limit becomes a ``TilingSolution``, and every new
+the public evaluators use).  For one order, border set and width vector,
+a candidate fits iff the reserve of its kept states is at most the slack
+of its spilled free-edge subset: the limit minus the subset's largest
+``CompiledInstance.pressure`` with no reserve.  The slack is computed once
+per subset and width vector, and the crossing registers once per subset
+and border set, so most candidates cost one lookup and one comparison.
+The spill subsets of one width vector come cheapest first from
+``_subsets_by_cost``, whose stream depends only on the item costs; each
+stream is memoized per cost tuple and replayed.  Only a candidate that
+fits the register limit and beats the incumbent becomes a
+``TilingSolution`` (a tie is decided on the order keys, or within one
+order on the canonical key built from its parts), and every new
 incumbent is re-checked by the reference ``tiling.feasible`` and
 ``tiling.cost``, so the ground truth cannot drift from the model
 semantics.  The oracle shares the evaluator, never the solver's search.
@@ -16,9 +25,11 @@ Exponential by nature; refuses instances beyond a small node cap.
 from __future__ import annotations
 
 import heapq
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from . import tiling
 from .dfg import ProblemInstance
@@ -83,7 +94,7 @@ def _topological_orders(node_ids, edges):
     return extend((), frozenset())
 
 
-def _subsets_by_cost(costs: list[int]):
+def _subsets_by_cost(costs: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Yield (total, chosen-bitmask) over all subsets, cheapest first; bit
     i of the mask chooses item i.
 
@@ -115,6 +126,45 @@ def _subsets_by_cost(costs: list[int]):
                     mask ^ bit[last] ^ bit[nxt],
                 ),
             )
+
+
+def _memo_column(bound: int):
+    """An empty column for values below ``bound``: a 64-bit array when they
+    fit, which stores an item in 8 bytes instead of a list slot and an int
+    object, else a list."""
+    return array("Q") if bound <= 1 << 64 else []
+
+
+def _replay(totals, masks, source: Iterator[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Replay a memoized stream of (total, mask) items: the items of
+    ``source`` already read into the columns ``totals`` and ``masks``, then
+    the rest of ``source``, each item read from it once and appended to the
+    columns for every later replay.  Replays of one memo may be read
+    interleaved: each sees the whole stream, in order."""
+    return chain(zip(totals, masks), _read_on(totals, masks, source))
+
+
+def _read_on(totals, masks, source):
+    # Started by ``chain`` right after its iterator over the columns
+    # stopped, so ``len(totals)`` is where this replay stands.
+    i = len(totals)
+    while True:
+        if i == len(totals):
+            item = next(source, None)
+            if item is None:
+                return
+            totals.append(item[0])
+            masks.append(item[1])
+        yield totals[i], masks[i]
+        i += 1
+
+
+def _order_key(order) -> str:
+    """The canonical key of ``order`` with no tiles and no spills.  The
+    order is the first field of every canonical key and its ids serialize
+    to the same length in any order, so the keys of two tilings of one
+    instance with different orders compare as their order keys do."""
+    return tiling.solution_key(order, (), (), (), ())
 
 
 def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> OracleResult:
@@ -163,6 +213,7 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
         )
     best_rep = tiling.cost(seed, instance)
     best_key = tiling.canonical_key(seed)
+    best_order_key = _order_key(seed.order)
     best = seed
     candidates = 1
 
@@ -172,6 +223,10 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
         c.total_state - sum(c.state[v] for k, v in enumerate(state_nodes) if spilled >> k & 1)
         for spilled in range(1 << len(state_nodes))
     ]
+    # One memoized cost-ordered subset stream per distinct item-cost tuple:
+    # its totals and masks read so far, and its generator.
+    streams: dict[tuple[int, ...], tuple] = {}
+    bound = best_rep.uspill
 
     for order in _topological_orders(node_ids, order_arcs):
         rank = [0] * n
@@ -179,11 +234,12 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
             rank[c.node_index[v]] = r
         comp_at = [c.comp[c.node_index[v]] for v in order]
         spans = c.spans(rank)
+        order_key = _order_key(order)
 
         for border_bits in range(1 << (n - 1)):
             forced = [i for i, m in enumerate(spans) if m & border_bits]
             forced_cost = sum(edge_reg[i] for i in forced) * u
-            if forced_cost > best_rep.uspill:
+            if forced_cost > bound:
                 continue
 
             points = [p for p in range(n - 1) if border_bits >> p & 1] + [n - 1]
@@ -195,7 +251,7 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
             ]
             nfree = len(free)
             free_mask = (1 << nfree) - 1
-            free_costs = [edge_reg[i] * u for i in free]
+            free_costs = tuple(edge_reg[i] * u for i in free)
             tile_of_rank = _tile_of_rank(points, n)
             # Crossing registers per subset of ``free`` spilled; they do not
             # depend on the widths.
@@ -205,39 +261,64 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
                 width_at = [widths[t] for t in tile_of_rank]
                 # Item k < nfree spills edge ``free[k]``, item nfree + k the
                 # state of ``state_nodes[k]``.
-                item_costs = free_costs + [
+                item_costs = free_costs + tuple(
                     _state_charge(u, width_at[rank[v]], c.state[v]) for v in state_nodes
-                ]
-                for extra, chosen in _subsets_by_cost(item_costs):
+                )
+                # The subset stream depends only on the item costs: read it
+                # from the memo, extended from its generator on demand.
+                stream = streams.get(item_costs)
+                if stream is None:
+                    stream = streams[item_costs] = (
+                        _memo_column(sum(item_costs) + 1),
+                        _memo_column(1 << len(item_costs)),
+                        _subsets_by_cost(item_costs),
+                    )
+                # Slack per subset of ``free`` spilled, for these widths: the
+                # registers left for kept states at the fullest point.
+                slack_of: dict[int, int] = {}
+                for extra, chosen in _replay(*stream):
                     total = forced_cost + extra
-                    if total > best_rep.uspill:
+                    if total > bound:
                         break
                     candidates += 1
-                    # Screen on the compiled form: only a candidate that
-                    # fits the limit becomes a TilingSolution.
+                    # Screen on the compiled form: a candidate fits iff the
+                    # reserve of its kept states is within the slack of its
+                    # spilled edges; only one that fits is looked at further.
                     spilled = chosen & free_mask
-                    crossing = crossing_of.get(spilled)
-                    if crossing is None:
-                        kept = [i for k, i in enumerate(free) if not spilled >> k & 1]
-                        crossing = crossing_of[spilled] = c.crossing_regs(spans, kept)
-                    press = c.pressure(comp_at, reserve_of[chosen >> nfree], width_at, crossing)
-                    if max(press) > limit:
+                    slack = slack_of.get(spilled)
+                    if slack is None:
+                        crossing = crossing_of.get(spilled)
+                        if crossing is None:
+                            kept = [i for k, i in enumerate(free) if not spilled >> k & 1]
+                            crossing = crossing_of[spilled] = c.crossing_regs(spans, kept)
+                        slack = slack_of[spilled] = limit - max(
+                            c.pressure(comp_at, 0, width_at, crossing)
+                        )
+                    if reserve_of[chosen >> nfree] > slack:
+                        continue
+                    # Every fitting candidate that gets past the key tests is
+                    # cheaper, or equal in cost with a smaller canonical key.
+                    # A tie in another order than the incumbent's is decided
+                    # by the order keys (see ``_order_key``); a tie in the
+                    # same order is keyed on its parts, before any
+                    # TilingSolution exists.
+                    tie = total == bound
+                    if tie and order_key > best_order_key:
                         continue
                     espill = {edge_ids[i] for i in forced}
                     espill.update(edge_ids[i] for k, i in enumerate(free) if spilled >> k & 1)
                     sspill = {
                         node_ids[v] for k, v in enumerate(state_nodes) if chosen >> (nfree + k) & 1
                     }
+                    if (
+                        tie
+                        and order_key == best_order_key
+                        and tiling.solution_key(order, points, widths, espill, sspill) >= best_key
+                    ):
+                        continue
                     sol = TilingSolution(
                         order, tuple(points), widths, frozenset(espill), frozenset(sspill)
                     )
-                    # Every feasible candidate that gets past the key test
-                    # is cheaper, or equal in cost with a smaller key.
-                    key = None
-                    if total == best_rep.uspill:
-                        key = tiling.canonical_key(sol)
-                        if key >= best_key:
-                            continue
                     # Every new incumbent is re-checked by the reference
                     # evaluators on the TilingSolution itself.
                     if not tiling.feasible(sol, instance).ok:
@@ -247,7 +328,7 @@ def brute_force(instance: ProblemInstance, *, max_nodes: int = MAX_NODES) -> Ora
                         raise RuntimeError(
                             f"enumeration cost {total} drifted from evaluator cost {rep.uspill}"
                         )
-                    best, best_rep = sol, rep
-                    best_key = key if key is not None else tiling.canonical_key(sol)
+                    best, best_rep, bound = sol, rep, total
+                    best_key, best_order_key = tiling.canonical_key(sol), order_key
 
     return OracleResult(best_rep.spill, best_rep.uspill, best, best_rep, candidates)

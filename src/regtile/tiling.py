@@ -93,13 +93,9 @@ class TilingSolution:
         return _tile_of_rank(self.tile_points, len(self.order))
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": list(self.order),
-            "tile_points": list(self.tile_points),
-            "tile_widths": list(self.tile_widths),
-            "spill_edges": sorted(self.edge_spill),
-            "spill_states": sorted(self.state_spill),
-        }
+        return _solution_doc(
+            self.order, self.tile_points, self.tile_widths, self.edge_spill, self.state_spill
+        )
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TilingSolution":
@@ -178,9 +174,32 @@ def _isolated_clusters(graph: DataFlowGraph) -> list[list[str]]:
     return list(clusters.values())
 
 
+def _solution_doc(order, points, widths, edge_spill, state_spill) -> dict:
+    """The JSON document of the solution with these fields."""
+    return {
+        "order": list(order),
+        "tile_points": list(points),
+        "tile_widths": list(widths),
+        "spill_edges": sorted(edge_spill),
+        "spill_states": sorted(state_spill),
+    }
+
+
+def solution_key(order, points, widths, edge_spill, state_spill) -> str:
+    """``canonical_key`` of the solution with these fields, without building
+    it; ``widths`` must already be normalized (no empty tiles)."""
+    return json.dumps(
+        _solution_doc(order, points, widths, edge_spill, state_spill),
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
 def canonical_key(sol: TilingSolution) -> str:
     """Canonical serialization used for deterministic tie-breaking."""
-    return json.dumps(sol.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return solution_key(
+        sol.order, sol.tile_points, sol.tile_widths, sol.edge_spill, sol.state_spill
+    )
 
 
 @dataclass(frozen=True)

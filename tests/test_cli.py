@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -405,6 +406,9 @@ def test_error_exits_with_json(case, capsys, tmp_path, monkeypatch, toy_doc):
     assert isinstance(error["message"], str) and error["message"]
 
 
+TIMINGS = re.compile(r'"(?:elapsed_ms|wall_ms)": [-+.0-9eE]+')
+
+
 def _without_timings(payload):
     """A payload with its wall-clock fields dropped."""
     if isinstance(payload, dict):
@@ -416,6 +420,19 @@ def _without_timings(payload):
     if isinstance(payload, list):
         return [_without_timings(v) for v in payload]
     return payload
+
+
+def _run_subprocess(argv, **env_overrides):
+    """Run the CLI in a fresh interpreter on these sources."""
+    src = str(Path(regtile.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop(cli.TIME_BUDGET_ENV, None)
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-m", "regtile.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
 
 
 def _json_calls(instance_path, solution_path):
@@ -444,15 +461,8 @@ class TestParserReuse:
         for argv in argvs:
             code, out, _err = run_cli(capsys, *argv)
             in_process.append((code, _without_timings(json.loads(out))))
-        src = str(Path(regtile.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        env.pop(cli.TIME_BUDGET_ENV, None)
         for argv, (code, payload) in zip(argvs, in_process):
-            run = subprocess.run(
-                [sys.executable, "-m", "regtile.cli", *argv],
-                capture_output=True, text=True, env=env, check=False,
-            )
+            run = _run_subprocess(argv)
             assert run.returncode == code, argv[0]
             assert _without_timings(json.loads(run.stdout)) == payload, argv[0]
         assert in_process[0] == in_process[3]
@@ -470,6 +480,16 @@ class TestParserReuse:
         code, out, _err = run_cli(capsys, *calls["cost"])
         assert code == 0
         assert json.loads(out)["cost"]["uspill"] == 18
+
+    def test_codegen_text_independent_of_hash_seed(self, toy_files):
+        argv = _json_calls(*toy_files)["codegen"]
+        texts = []
+        for hash_seed in ("1", "2"):
+            run = _run_subprocess(argv, PYTHONHASHSEED=hash_seed)
+            assert run.returncode == 0, run.stderr
+            texts.append(TIMINGS.sub("", run.stdout))
+        assert '"SPILLED"' in texts[0]
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("subcommand", sorted(_json_calls("i", "s")))
     def test_json_answer_is_one_line(self, capsys, toy_files, subcommand):

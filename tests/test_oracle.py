@@ -208,3 +208,98 @@ class TestTopologicalOrders:
                 if all(p.index(src) < p.index(dst) for src, dst in arcs)
             ]
             assert list(oracle._topological_orders(declared, arcs)) == want
+
+
+def _subsets_in_cost_order(costs):
+    """Every (total, mask) over ``costs``, sorted by total and then by the
+    tuple of the chosen items' positions in ascending-cost order."""
+    position = {i: p for p, i in enumerate(sorted(range(len(costs)), key=lambda i: (costs[i], i)))}
+    rows = []
+    for mask in range(1 << len(costs)):
+        chosen = [i for i in range(len(costs)) if mask >> i & 1]
+        rows.append((sum(costs[i] for i in chosen), sorted(position[i] for i in chosen), mask))
+    rows.sort(key=lambda row: row[:2])
+    return [(total, mask) for total, _positions, mask in rows]
+
+
+class TestSubsetsByCost:
+    def test_equal_to_sorted_subsets(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            costs = [rng.choice([0, 0, 1, 2, 3, 3, 5, 8]) for _ in range(rng.randint(0, 7))]
+            got = list(oracle._subsets_by_cost(costs))
+            assert len({mask for _total, mask in got}) == 1 << len(costs)
+            assert got == _subsets_in_cost_order(costs)
+
+    @pytest.mark.parametrize("column_bound", [1 << 64, (1 << 64) + 1])
+    def test_interleaved_replays_equal_fresh_stream(self, column_bound):
+        rng = random.Random(9)
+        for _ in range(100):
+            costs = tuple(rng.choice([0, 1, 1, 2, 4, 6]) for _ in range(rng.randint(0, 6)))
+            want = list(oracle._subsets_by_cost(costs))
+            # Array columns, or list columns as for values past 64 bits.
+            columns = oracle._memo_column(column_bound), oracle._memo_column(column_bound)
+            source = oracle._subsets_by_cost(costs)
+            readers = [oracle._replay(*columns, source) for _ in range(3)]
+            read = [[] for _ in readers]
+            # Each step reads a few items from one reader, or starts it anew
+            # after a partial read, as a cost bound would break a loop.
+            for _step in range(40):
+                k = rng.randrange(len(readers))
+                if rng.random() < 0.2:
+                    assert read[k] == want[: len(read[k])]
+                    readers[k], read[k] = oracle._replay(*columns, source), []
+                    continue
+                for item in readers[k]:
+                    read[k].append(item)
+                    if rng.random() < 0.3:
+                        break
+            for reader, items in zip(readers, read):
+                assert items + list(reader) == want
+            assert list(zip(*columns)) == want
+
+
+class TestTieKeys:
+    def test_solution_key_equals_canonical_key(self, toy_instance):
+        rng = random.Random(12)
+        for _ in range(200):
+            sol = _random_solution(rng, toy_instance)
+            parts = (sol.order, sol.tile_points, sol.tile_widths, sol.edge_spill, sol.state_spill)
+            assert tiling.solution_key(*parts) == tiling.canonical_key(sol)
+
+    def test_order_keys_decide_ties_across_orders(self):
+        # Ids whose JSON order is not their string order: "a" < "a!", but
+        # '"a!"' < '"a"' once quoted, since '!' < '"'.
+        ids = ["a", "a!", "b", "a b", "é", "c\\"]
+        rng = random.Random(13)
+        for _ in range(500):
+            picked = rng.sample(ids, rng.randint(2, len(ids)))
+            keys = []
+            for _side in range(2):
+                order = tuple(rng.sample(picked, len(picked)))
+                points, widths, edges, states = _random_parts(rng, order, EDGE_IDS)
+                full = tiling.solution_key(order, points, widths, edges, states)
+                keys.append((oracle._order_key(order), full))
+            (order_a, full_a), (order_b, full_b) = keys
+            if order_a != order_b:
+                assert (order_a < order_b) == (full_a < full_b)
+
+
+EDGE_IDS = [f"e{i}" for i in range(10)]
+
+
+def _random_parts(rng, order, edge_ids):
+    """Tile points without empty tiles, widths and spill sets for ``order``."""
+    n = len(order)
+    points = sorted(rng.sample(range(n - 1), rng.randint(0, n - 1))) + [n - 1]
+    widths = [rng.randint(1, 4) for _ in points]
+    edges = set(rng.sample(edge_ids, rng.randint(0, len(edge_ids))))
+    states = set(rng.sample(order, rng.randint(0, n)))
+    return points, widths, edges, states
+
+
+def _random_solution(rng, instance):
+    graph = instance.graph
+    order = tuple(rng.sample(graph.node_ids, len(graph.node_ids)))
+    points, widths, edges, states = _random_parts(rng, order, [e.id for e in graph.edges])
+    return tiling.TilingSolution(order, tuple(points), tuple(widths), edges, states)
